@@ -3,9 +3,9 @@
 The objective is the mean squared pixel error between observed projections
 and the projections of rigidly transported first-frame points. Rotations
 are parameterized in axis-angle coordinates so the solver runs
-unconstrained; minimization uses limited-memory BFGS with a strong-Wolfe
-line search. All reductions run in fixed index order, so results are
-bitwise deterministic.
+unconstrained; minimization uses damped Gauss-Newton (Levenberg–Marquardt)
+on the 6×6 normal equations. All reductions run in fixed index order, so
+results are bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -23,26 +23,36 @@ from camsig.geometry import (
     so3_right_jacobian,
 )
 
+# Levenberg–Marquardt damping schedule, relative to diag(JᵀJ). A step that
+# lowers the cost divides the damping by _MU_FACTOR, a rejected step
+# multiplies it. Past _MU_MAX no step along the damped direction lowers the
+# cost at double precision.
+_MU_INIT = 1e-3
+_MU_FACTOR = 10.0
+_MU_MAX = 1e16
+# A trial step that changes the cost by at most this fraction, either way,
+# ends the fit as converged: the cost has reached its rounding floor.
+_REL_CHANGE = 1e-15
+
 
 class NumericalError(RuntimeError):
     """Optimization produced a non-finite cost or gradient."""
+
+
+class UnderdeterminedFitError(ValueError):
+    """Fewer than three points are selected, so the motion is not determined."""
 
 
 @dataclass
 class FitConfig:
     max_iterations: int = 200
     gradient_tolerance: float = 1e-10  # infinity norm of the 6-vector gradient
-    history_size: int = 8
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.history_size < 1:
-            raise ValueError("iteration and history counts must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("iteration count must be positive")
         if self.gradient_tolerance <= 0.0:
             raise ValueError("gradient tolerance must be positive")
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError("line search requires 0 < c1 < c2 < 1")
 
 
 @dataclass(eq=False)
@@ -54,45 +64,47 @@ class FitResult:
     cost_trace: np.ndarray
 
 
-def _cost_grad(points0, observed, sel, k, params):
-    """Cost and gradient over the pre-selected points; returns drop count.
+def _normal_equations(p, ov, k, params):
+    """Cost, JᵀJ, Jᵀr and point count of the pixel residuals r at params.
 
-    Transformed points that fall behind the camera (z < Z_MIN) are dropped
-    from the sums for this evaluation; with no survivors the cost is +inf
-    so the line search backs away from such parameters.
+    p (3×n) holds the first-frame points and ov (2×n) their observed
+    pixels, one column per point. r holds every point's u and v residual
+    and J is its 2n×6 Jacobian, built as its u and v halves; the mean
+    squared error has gradient 2/n·Jᵀr. Transformed points that fall behind
+    the camera (z < Z_MIN) are dropped for this evaluation; with no
+    survivors the cost is +inf so the solver rejects such parameters.
     """
     w = params[:3]
-    t = params[3:]
     r_mat = so3_exp(w)
-    p = points0[sel]
-    q = p @ r_mat.T + t
-    front = q[:, 2] >= Z_MIN
-    n_valid = int(front.sum())
-    n_dropped = p.shape[0] - n_valid
-    if n_valid == 0:
-        return math.inf, np.zeros(6), n_dropped
-    qv = q[front]
-    pv = p[front]
-    ov = observed[sel][front]
-    z = qv[:, 2]
-    ru = k.fx * qv[:, 0] / z + k.cx - ov[:, 0]
-    rv = k.fy * qv[:, 1] / z + k.cy - ov[:, 1]
-    cost = (float(ru @ ru) + float(rv @ rv)) / n_valid
+    s = r_mat @ p
+    q = s + params[3:, None]
+    front = q[2] >= Z_MIN
+    if not front.all():
+        s, q, ov = s[:, front], q[:, front], ov[:, front]
+    n = q.shape[1]
+    if n == 0:
+        return math.inf, np.zeros((6, 6)), np.zeros(6), 0
+    inv_z = 1.0 / q[2]
+    u = q[0] * inv_z
+    v = q[1] * inv_z
+    ru = k.fx * u + k.cx - ov[0]
+    rv = k.fy * v + k.cy - ov[1]
 
-    # Backpropagate through the pinhole: a = J_pi^T r per point.
-    fu = k.fx / z
-    fv = k.fy / z
-    ax = fu * ru
-    ay = fv * rv
-    az = -(fu * qv[:, 0] / z) * ru - (fv * qv[:, 1] / z) * rv
-    a = np.stack([ax, ay, az], axis=1)
-    grad_t = (2.0 / n_valid) * a.sum(axis=0)
-    # d(R p)/dw = -R hat(p) J_r(w), so the chain rule reduces to a torque
-    # sum p x (R^T a) pulled back through the right Jacobian.
-    b = a @ r_mat
-    torque = np.cross(pv, b).sum(axis=0)
-    grad_w = (2.0 / n_valid) * (so3_right_jacobian(w).T @ torque)
-    return cost, np.concatenate([grad_w, grad_t]), n_dropped
+    # Jacobian over (phi, t), where phi rotates on the left:
+    # exp(phi) R p + t + dt moves q by phi x (R p) + dt. The pinhole
+    # derivative of the u residual is fx/qz (1, 0, -u), giving the row
+    # fx/qz ((R p) x (1, 0, -u), 1, 0, -u); likewise for v.
+    sx, sy, sz = s
+    zero = np.zeros(n)
+    one = np.ones(n)
+    ju = np.stack([-u * sy, sz + u * sx, -sy, one, zero, -u]) * (k.fx * inv_z)
+    jv = np.stack([-(sz + v * sy), v * sx, sx, zero, one, -v]) * (k.fy * inv_z)
+    # exp(w + dw) = exp(R J_r(w) dw) exp(w) to first order, so phi = R J_r(w) dw.
+    chain = np.eye(6)
+    chain[:3, :3] = r_mat @ so3_right_jacobian(w)
+    jtj = chain.T @ (ju @ ju.T + jv @ jv.T) @ chain
+    jtr = chain.T @ (ju @ ru + jv @ rv)
+    return (float(ru @ ru) + float(rv @ rv)) / n, jtj, jtr, n
 
 
 def _validate_inputs(points0, observed, mask):
@@ -102,7 +114,7 @@ def _validate_inputs(points0, observed, mask):
     if not (p0.shape[0] == obs.shape[0] == sel.shape[0]):
         raise ValueError("points, observations and mask must have equal length")
     if int(sel.sum()) < 3:
-        raise ValueError("underdetermined fit")
+        raise UnderdeterminedFitError("underdetermined fit")
     return p0, obs, sel
 
 
@@ -113,122 +125,69 @@ def reproj_cost_grad(points0, observed, mask, k: Intrinsics, params):
     """
     p0, obs, sel = _validate_inputs(points0, observed, mask)
     x = np.asarray(params, dtype=float).reshape(6)
-    cost, grad, _ = _cost_grad(p0, obs, sel, k, x)
-    return cost, grad
-
-
-def _zoom(phi, f0, d0, c1, c2, lo, f_lo, pay_lo, hi, f_hi):
-    """Strong-Wolfe zoom by bisection on a bracketing interval."""
-    for _ in range(60):
-        alpha = 0.5 * (lo + hi)
-        f, d, pay = phi(alpha)
-        if f > f0 + c1 * alpha * d0 or f >= f_lo:
-            hi, f_hi = alpha, f
-        else:
-            if abs(d) <= -c2 * d0:
-                return alpha, pay
-            if d * (hi - lo) >= 0.0:
-                hi, f_hi = lo, f_lo
-            lo, f_lo, pay_lo = alpha, f, pay
-        if abs(hi - lo) <= 1e-16 * max(1.0, abs(lo)):
-            break
-    # Interval collapsed at numerical resolution: the low end still
-    # satisfies sufficient decrease, accept it if it made progress.
-    if lo > 0.0 and pay_lo is not None:
-        return lo, pay_lo
-    return None
-
-
-def _wolfe_search(phi, f0, d0, c1, c2):
-    """Bracketing strong-Wolfe line search starting from a unit step."""
-    alpha_prev, f_prev, pay_prev = 0.0, f0, None
-    alpha = 1.0
-    for it in range(25):
-        f, d, pay = phi(alpha)
-        if f > f0 + c1 * alpha * d0 or (it > 0 and f >= f_prev):
-            return _zoom(phi, f0, d0, c1, c2, alpha_prev, f_prev, pay_prev, alpha, f)
-        if abs(d) <= -c2 * d0:
-            return alpha, pay
-        if d >= 0.0:
-            return _zoom(phi, f0, d0, c1, c2, alpha, f, pay, alpha_prev, f_prev)
-        alpha_prev, f_prev, pay_prev = alpha, f, pay
-        alpha *= 2.0
-    return None
+    cost, _, jtr, n = _normal_equations(p0[sel].T, obs[sel].T, k, x)
+    return cost, (2.0 / max(n, 1)) * jtr
 
 
 def fit_rigid(points0, observed, mask, k: Intrinsics, init, config: FitConfig | None = None) -> FitResult:
-    """Fit one frame's rigid motion to observed projections with L-BFGS.
+    """Fit one frame's rigid motion to observed projections.
 
-    Converges when the gradient infinity norm drops below the configured
-    tolerance; the cost trace is non-increasing by line-search construction.
+    Each iteration solves the damped normal equations
+    (JᵀJ + μ·diag(JᵀJ)) δ = −Jᵀr and tries x + δ; the step is accepted only
+    if the cost does not rise, so the cost trace (the initial cost, then one
+    entry per iteration) is non-increasing. μ shrinks after an accepted step and grows after a
+    rejected one. The fit stops, converged, when the gradient infinity norm
+    reaches the configured tolerance or a trial step changes the cost by a
+    relative 1e-15 or less in either direction (its rounding floor). It
+    stops unconverged when the damping passes 1e16, which includes a
+    rank-deficient JᵀJ with a zero row, or when max_iterations is reached.
     """
     cfg = config or FitConfig()
     p0, obs, sel = _validate_inputs(points0, observed, mask)
+    p, ov = p0[sel].T.copy(), obs[sel].T.copy()
     x = np.asarray(init, dtype=float).reshape(6).copy()
 
-    def fun(params):
-        cost, grad, _ = _cost_grad(p0, obs, sel, k, params)
-        if math.isnan(cost) or np.isnan(grad).any():
+    def evaluate(params):
+        cost, jtj, jtr, n = _normal_equations(p, ov, k, params)
+        if math.isnan(cost) or np.isnan(jtr).any():
             raise NumericalError(
                 f"numerical failure: non-finite cost at params {params.tolist()}"
             )
-        return cost, grad
+        small = n > 0 and (2.0 / n) * float(np.max(np.abs(jtr))) <= cfg.gradient_tolerance
+        return cost, jtj, jtr, small
 
-    f, g = fun(x)
+    f, h, g, converged = evaluate(x)
     if not math.isfinite(f):
         raise NumericalError(
             f"numerical failure: no point projects in front of the camera at init {x.tolist()}"
         )
     trace = [f]
-    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    mu = _MU_INIT
     n_iter = 0
-    converged = bool(np.max(np.abs(g)) <= cfg.gradient_tolerance)
     while not converged and n_iter < cfg.max_iterations:
-        # Two-loop recursion for the L-BFGS direction.
-        q = g.copy()
-        alphas = []
-        for s, y, rho in reversed(pairs):
-            a = rho * float(s @ q)
-            q -= a * y
-            alphas.append(a)
-        if pairs:
-            s, y, _ = pairs[-1]
-            q *= float(s @ y) / float(y @ y)
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            beta = rho * float(y @ q)
-            q += (a - beta) * s
-        direction = -q
-        d0 = float(g @ direction)
-        if d0 >= 0.0:  # stale curvature pairs; fall back to steepest descent
-            direction = -g
-            d0 = -float(g @ g)
-        if d0 == 0.0:
-            converged = True
+        n_iter += 1
+        try:
+            step = np.linalg.solve(h + np.diag(mu * np.diag(h)), -g)
+        except np.linalg.LinAlgError:  # JᵀJ has a zero row: rank deficient
+            step = None
+        accepted = False
+        if step is not None and np.isfinite(step).all():
+            x_new = x + step
+            f_new, h_new, g_new, small = evaluate(x_new)
+            accepted = f_new <= f
+            converged = abs(f_new - f) <= _REL_CHANGE * f
+        if accepted:
+            converged = converged or small
+            x, f, h, g = x_new, f_new, h_new, g_new
+            mu /= _MU_FACTOR
+        else:
+            mu *= _MU_FACTOR
+        trace.append(f)
+        if mu > _MU_MAX:
             break
 
-        def phi(alpha, _x=x, _p=direction):
-            xn = _x + alpha * _p
-            fn, gn = fun(xn)
-            return fn, float(gn @ _p), (xn, fn, gn)
-
-        hit = _wolfe_search(phi, f, d0, cfg.wolfe_c1, cfg.wolfe_c2)
-        if hit is None:
-            break  # no further progress possible at this resolution
-        _, (x_new, f_new, g_new) = hit
-        s_vec = x_new - x
-        y_vec = g_new - g
-        sy = float(s_vec @ y_vec)
-        if sy > 1e-12 * float(np.linalg.norm(s_vec)) * float(np.linalg.norm(y_vec)):
-            pairs.append((s_vec, y_vec, 1.0 / sy))
-            if len(pairs) > cfg.history_size:
-                pairs.pop(0)
-        x, f, g = x_new, f_new, g_new
-        trace.append(f)
-        n_iter += 1
-        converged = bool(np.max(np.abs(g)) <= cfg.gradient_tolerance)
-
     trace_arr = np.array(trace)
-    assert np.all(np.diff(trace_arr) <= 0.0), "line search admitted an ascent step"
+    assert np.all(np.diff(trace_arr) <= 0.0), "solver admitted an ascent step"
     return FitResult(
         motion=RigidMotion(so3_exp(x[:3]), x[3:]),
         final_cost=f,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from camsig.geometry import RigidMotion, Z_MIN, so3_log
-from camsig.rigidfit import FitConfig, fit_rigid
+from camsig.rigidfit import FitConfig, UnderdeterminedFitError, fit_rigid
 from camsig.trajfield import PixelPartition, TrajectoryField
 
 STATUS_CONVERGED_EPS = "converged_eps"
@@ -136,7 +136,7 @@ def extract_static(
     iterations_used = 0
     err = np.zeros(n)
 
-    for _ in range(cfg.max_iterations):
+    for iteration in range(1, cfg.max_iterations + 1):
         # Per-frame fits on the current static set. Frame 0 is pinned to the
         # identity (zero residual by construction); each later frame warm
         # starts from the previous frame's solution.
@@ -150,9 +150,12 @@ def extract_static(
                 prev_params = np.concatenate(
                     [so3_log(result.motion.rotation), result.motion.translation]
                 )
-        except ValueError as exc:
-            if "underdetermined" not in str(exc):
-                raise
+                if not result.converged:
+                    diagnostics.append(
+                        f"rigid fit of frame {lam} did not converge in segmentation "
+                        f"iteration {iteration} ({result.iterations} solver iterations)"
+                    )
+        except UnderdeterminedFitError:
             # Too few visible static points in some frame: same failure mode
             # as the collapse guard below.
             motions = prev_motions

@@ -3,7 +3,9 @@ import pytest
 
 from camsig.geometry import Intrinsics, geodesic_angle, project, so3_exp, so3_log
 from camsig.rigidfit import FitConfig, fit_rigid, reproj_cost_grad
-from util import K64, random_points, rng
+from camsig.synth import DynamicObject, SceneSpec, generate_scene
+from test_segmentation import KWIDE
+from util import K64, pan_roll_path, random_points, rng
 
 
 def make_frame(gen, n=400, w_scale=0.2, t_scale=0.3, noise=0.0, k=K64):
@@ -146,6 +148,74 @@ class TestFitRigid:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            FitConfig(wolfe_c1=0.5, wolfe_c2=0.1)
-        with pytest.raises(ValueError):
             FitConfig(max_iterations=0)
+        for tol in (0.0, -1e-10):
+            with pytest.raises(ValueError):
+                FitConfig(gradient_tolerance=tol)
+
+    def test_iteration_limit_stops_unconverged(self):
+        gen = rng(28)
+        p0, obs, mask, _ = make_frame(gen, w_scale=0.3, t_scale=0.5)
+        result = fit_rigid(p0, obs, mask, K64, np.zeros(6), FitConfig(max_iterations=1))
+        assert result.iterations == 1
+        assert result.converged is False
+        assert len(result.cost_trace) == 2
+
+    def test_rank_deficient_normal_equations(self):
+        # Three coincident points on the optical axis: the columns of the
+        # Jacobian for rotation about and translation along the axis vanish,
+        # so the damped normal equations stay singular at every damping.
+        p0 = np.tile([0.0, 0.0, 2.0], (3, 1))
+        obs = project(p0, K64) + np.array([3.0, -2.0])
+        result = fit_rigid(p0, obs, np.ones(3, dtype=bool), K64, np.zeros(6))
+        assert result.converged is False
+        assert np.isfinite(result.motion.rotation).all()
+        assert np.isfinite(result.motion.translation).all()
+        assert np.isfinite(result.final_cost)
+
+
+def criterion2_frames(seed):
+    """Per-frame fit problems of a criterion-2 scene under its true static mask."""
+    objects = [
+        DynamicObject(center=(8.0, 8.0), radius=4.6, velocity=(0.08, 0.0, 0.0)),
+        DynamicObject(center=(23.0, 8.0), radius=4.6, velocity=(-0.08, 0.0, 0.0)),
+        DynamicObject(center=(8.0, 23.0), radius=4.6, velocity=(0.0, 0.08, 0.0)),
+        DynamicObject(center=(23.0, 23.0), radius=4.6, velocity=(0.0, -0.08, 0.0)),
+    ]
+    spec = SceneSpec(
+        frames=12, grid_h=32, grid_w=32, intrinsics=KWIDE,
+        z_near=1.5, z_far=2.5, depth_jitter=0.5, objects=objects,
+        track_noise=0.5, seed=seed,
+    )
+    gt = generate_scene(spec, pan_roll_path(12, pan=0.2, roll=0.1))
+    field = gt.field
+    static = gt.partition.static_mask.ravel()
+    for lam in range(1, field.num_frames):
+        sel = static & field.visibility[lam]
+        obs = np.zeros((field.num_points, 2))
+        obs[sel] = project(field.positions[lam][sel], KWIDE)
+        yield field.positions[0], obs, sel, KWIDE
+
+
+def reference_cost(p0, obs, mask, k):
+    """Optimal mean squared reprojection error from scipy's MINPACK LM."""
+    from scipy.optimize import least_squares  # test extra; only this oracle needs it
+
+    p, o = p0[mask], obs[mask]
+
+    def residuals(x):
+        q = p @ so3_exp(x[:3]).T + x[3:]
+        return (project(q, k) - o).ravel()
+
+    ref = least_squares(residuals, np.zeros(6), method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    return 2.0 * ref.cost / p.shape[0]
+
+
+def test_final_cost_matches_reference_optimum():
+    problems = [make_frame(rng(2000 + seed), noise=0.5)[:3] + (K64,) for seed in range(10)]
+    for seed in (5000, 5001):
+        problems.extend(criterion2_frames(seed))
+    for p0, obs, mask, k in problems:
+        result = fit_rigid(p0, obs, mask, k, np.zeros(6))
+        assert result.converged
+        assert result.final_cost <= reference_cost(p0, obs, mask, k) * (1.0 + 1e-9) + 1e-20

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from camsig.geometry import Intrinsics, geodesic_angle
+from camsig.rigidfit import FitConfig
 from camsig.segmentation import (
     STATUS_CONVERGED_EPS,
     STATUS_CONVERGED_FULL,
@@ -100,6 +101,28 @@ def test_degenerate_guard():
     assert result.status == STATUS_DEGENERATE
     assert result.partition.static_mask.all()  # last valid iteration started from all
     assert result.diagnostics
+
+
+def test_underdetermined_initial_set_is_degenerate():
+    gt, _ = quad_object_scene()
+    initial = np.zeros(gt.field.num_points, dtype=bool)
+    initial[:2] = True
+    result = extract_static(gt.field, initial_static=initial)
+    assert result.status == STATUS_DEGENERATE
+    assert result.iterations_used == 0
+    assert result.diagnostics == [
+        "fewer than 3 visible static points in frame 1; keeping previous iteration"
+    ]
+
+
+def test_unconverged_fit_reported():
+    gt, _ = quad_object_scene(frames=3)
+    config = SegmentationConfig(max_iterations=1, fit=FitConfig(max_iterations=1))
+    result = extract_static(gt.field, config)
+    assert result.diagnostics == [
+        "rigid fit of frame 1 did not converge in segmentation iteration 1 (1 solver iterations)",
+        "rigid fit of frame 2 did not converge in segmentation iteration 1 (1 solver iterations)",
+    ]
 
 
 def test_max_iters_status():
