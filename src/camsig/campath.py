@@ -118,12 +118,17 @@ def save_path(path: CameraPath, file) -> None:
 def load_path(file) -> CameraPath:
     """Read a path JSON, validating rotations and the frame-0 identity."""
     doc = json.loads(Path(file).read_text())
-    if not isinstance(doc, dict) or "frames" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
         raise ValueError("path file must be an object with a 'frames' list")
     motions = []
     for lam, entry in enumerate(doc["frames"]):
-        r = np.asarray(entry["R"], dtype=float)
-        t = np.asarray(entry["t"], dtype=float)
+        if not (isinstance(entry, dict) and "R" in entry and "t" in entry):
+            raise ValueError(f"frame {lam} must be an object with 'R' and 't'")
+        try:
+            r = np.asarray(entry["R"], dtype=float)
+            t = np.asarray(entry["t"], dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"non-numeric motion at frame {lam}") from exc
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError(f"invalid motion shape at frame {lam}")
         if not is_rotation(r, atol=1e-6):

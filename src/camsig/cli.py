@@ -26,7 +26,7 @@ from camsig.campath import (
     load_path,
     save_path,
 )
-from camsig.geometry import Intrinsics, project
+from camsig.geometry import Intrinsics, in_image, project
 from camsig.io import (
     FormatError,
     Tracks,
@@ -146,14 +146,8 @@ def cmd_synth(args) -> int:
         write_depth(out / f"depth_{lam:04d}.tcd", depth_img)
     # Track files model a real tracker: points outside the image footprint
     # are marked invisible (their depth cannot be sampled downstream).
-    uv = project(field.positions.reshape(-1, 3), k).reshape(field.num_frames, -1, 2)
-    in_image = (
-        (uv[..., 0] >= -0.5)
-        & (uv[..., 0] <= k.width - 0.5)
-        & (uv[..., 1] >= -0.5)
-        & (uv[..., 1] <= k.height - 0.5)
-    )
-    write_tracks(out / "tracks.tct", Tracks(uv, field.visibility & in_image))
+    uv = project(field.positions, k)
+    write_tracks(out / "tracks.tct", Tracks(uv, field.visibility & in_image(uv, k)))
     save_path(path, out / "path.json")
     write_pgm(out / "partition.pgm", np.where(gt.partition.static_mask, 255, 0).astype(np.uint8))
     write_ppm(out / "rgb0.ppm", gt.rgb0)
@@ -177,6 +171,25 @@ def _assemble(args):
         raise DataError(f"{args.tracks}: {exc}") from exc
 
 
+def _segmentation_parameters(args) -> dict:
+    return {
+        "tracks": str(args.tracks),
+        "depth_dir": str(args.depth_dir),
+        "intrinsics": str(args.intrinsics),
+        "epsilon": args.epsilon,
+        "alpha": args.alpha,
+        "max_iters": args.max_iters,
+    }
+
+
+def _refuse_degenerate(args, result) -> bool:
+    """Report a degenerate segmentation unless --allow-degenerate was given."""
+    if result.status != STATUS_DEGENERATE or args.allow_degenerate:
+        return False
+    print(f"error: degenerate segmentation: {'; '.join(result.diagnostics)}", file=sys.stderr)
+    return True
+
+
 def cmd_segment(args) -> int:
     field, _ = _assemble(args)
     result = extract_static(field, _segmentation_config(args))
@@ -193,27 +206,16 @@ def cmd_segment(args) -> int:
             "motions": _motions_to_json(result.motions),
             "static_fraction": result.partition.static_fraction,
             "diagnostics": result.diagnostics,
-            "parameters": {
-                "tracks": str(args.tracks),
-                "depth_dir": str(args.depth_dir),
-                "intrinsics": str(args.intrinsics),
-                "epsilon": args.epsilon,
-                "alpha": args.alpha,
-                "max_iters": args.max_iters,
-            },
+            "parameters": _segmentation_parameters(args),
         },
     )
-    if result.status == STATUS_DEGENERATE and not args.allow_degenerate:
-        print(f"error: degenerate segmentation: {'; '.join(result.diagnostics)}", file=sys.stderr)
-        return 3
-    return 0
+    return 3 if _refuse_degenerate(args, result) else 0
 
 
 def cmd_signal_from_video(args) -> int:
     field, _ = _assemble(args)
     result = extract_static(field, _segmentation_config(args))
-    if result.status == STATUS_DEGENERATE and not args.allow_degenerate:
-        print(f"error: degenerate segmentation: {'; '.join(result.diagnostics)}", file=sys.stderr)
+    if _refuse_degenerate(args, result):
         return 3
     traj = point_trajectory(field, result.motions)
     strength = motion_strength(residual_g(field, result.motions))
@@ -226,14 +228,7 @@ def cmd_signal_from_video(args) -> int:
             "no_overlap": strength.no_overlap.tolist(),
             "segmentation_status": result.status,
             "static_fraction": result.partition.static_fraction,
-            "parameters": {
-                "tracks": str(args.tracks),
-                "depth_dir": str(args.depth_dir),
-                "intrinsics": str(args.intrinsics),
-                "epsilon": args.epsilon,
-                "alpha": args.alpha,
-                "max_iters": args.max_iters,
-            },
+            "parameters": _segmentation_parameters(args),
         },
     )
     return 0

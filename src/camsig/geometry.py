@@ -1,5 +1,9 @@
 """Camera-space geometry: rotations, rigid motions, pinhole projection.
 
+It owns the package's one rigid transport (`apply`), pinhole model with
+camera-front test (`pinhole`) and image-footprint test (`in_image`); only
+the rigid fit projects on its own, to reuse x/z in its Jacobian.
+
 Conventions used throughout the package:
   - camera axes: x right, y down, z forward (optical axis)
   - pixel axes: u rightward, v downward; integer coordinates are pixel centers
@@ -175,16 +179,34 @@ def is_rotation(r: np.ndarray, atol: float = 1e-9) -> bool:
     return abs(float(np.linalg.det(r)) - 1.0) <= atol
 
 
+def pinhole(points, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Pinhole projection without raising: (uv, front) over (..., 3) points.
+
+    front is z >= Z_MIN; uv is undefined (possibly inf or nan) where front
+    is False.
+    """
+    p = np.asarray(points, dtype=float)
+    z = p[..., 2]
+    uv = np.empty(p.shape[:-1] + (2,))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv[..., 0] = k.fx * p[..., 0] / z + k.cx
+        uv[..., 1] = k.fy * p[..., 1] / z + k.cy
+    return uv, z >= Z_MIN
+
+
 def project(points, k: Intrinsics) -> np.ndarray:
     """Pinhole projection of camera-space points to pixel coordinates."""
     p = np.asarray(points, dtype=float)
-    z = p[..., 2]
-    if np.any(z < Z_MIN):
+    if np.any(p[..., 2] < Z_MIN):
         raise ValueError("point at or behind camera")
-    uv = np.empty(p.shape[:-1] + (2,))
-    uv[..., 0] = k.fx * p[..., 0] / z + k.cx
-    uv[..., 1] = k.fy * p[..., 1] / z + k.cy
-    return uv
+    return pinhole(p, k)[0]
+
+
+def in_image(uv, k: Intrinsics) -> np.ndarray:
+    """Image-footprint test; pixel areas reach half a pixel past the centers."""
+    u = uv[..., 0]
+    v = uv[..., 1]
+    return (u >= -0.5) & (u <= k.width - 0.5) & (v >= -0.5) & (v <= k.height - 0.5)
 
 
 def unproject(px, depth, k: Intrinsics) -> np.ndarray:
@@ -201,9 +223,12 @@ def unproject(px, depth, k: Intrinsics) -> np.ndarray:
 
 
 def apply(m: RigidMotion, points) -> np.ndarray:
-    """Transform points by a rigid motion: R @ p + t, vectorized over (..., 3)."""
+    """Transform points by a rigid motion: R @ p + t, vectorized over (..., 3).
+
+    einsum, not matmul: BLAS fuses multiply-adds and changes the last bits.
+    """
     p = np.asarray(points, dtype=float)
-    return p @ m.rotation.T + m.translation
+    return np.einsum("ij,...j->...i", m.rotation, p) + m.translation
 
 
 def compose(outer: RigidMotion, inner: RigidMotion) -> RigidMotion:

@@ -142,9 +142,13 @@ def read_tracks(file) -> Tracks:
 def write_tensor(file, ct: ControlTensor) -> None:
     t, c, h, w = ct.data.shape
     header = MAGIC_TENSOR + struct.pack("<IIII", t, c, h, w)
-    body = ct.data.astype("<f4").tobytes()
-    mask = ct.last_frame_valid.astype("u1").tobytes()
-    Path(file).write_bytes(header + body + mask)
+    # Written from the arrays' buffers: no bytes copy of the float32 body.
+    body = np.ascontiguousarray(ct.data, dtype="<f4")
+    mask = np.ascontiguousarray(ct.last_frame_valid, dtype="u1")
+    with open(file, "wb") as fh:
+        fh.write(header)
+        fh.write(body)
+        fh.write(mask)
 
 
 def read_tensor(file) -> ControlTensor:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from camsig.campath import CameraPath
-from camsig.geometry import Intrinsics, Z_MIN, unproject
+from camsig.geometry import Intrinsics, apply, pinhole, unproject
 from camsig.trajfield import grid_sample_uv
 
 BACKGROUND = np.array([128, 128, 128], dtype=np.uint8)
@@ -59,19 +59,14 @@ def splat_zbuffer(points, values, k: Intrinsics):
     index wins, so the result is independent of splat order.
     """
     h, w = k.height, k.width
-    z = points[:, 2]
-    front = z >= Z_MIN
+    uv, front = pinhole(points, k)
     idx = np.flatnonzero(front)
-    q = points[idx]
-    zq = q[:, 2]
-    u = k.fx * q[:, 0] / zq + k.cx
-    v = k.fy * q[:, 1] / zq + k.cy
-    ui = np.floor(u + 0.5).astype(np.int64)  # round half up, deterministically
-    vi = np.floor(v + 0.5).astype(np.int64)
+    ui = np.floor(uv[idx, 0] + 0.5).astype(np.int64)  # round half up, deterministically
+    vi = np.floor(uv[idx, 1] + 0.5).astype(np.int64)
     inside = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
     idx = idx[inside]
     lin = vi[inside] * w + ui[inside]
-    zin = zq[inside]
+    zin = points[idx, 2]
 
     order = np.lexsort((idx, zin))  # by depth, ties by source index
     lin_sorted = lin[order]
@@ -98,9 +93,7 @@ def render_preview(frame0: RgbdFrame, path: CameraPath, threads: int = 1) -> Pre
     coverage = np.empty((t, h, w), dtype=bool)
 
     def render_one(lam):
-        m = path[lam]
-        q = p0 @ m.rotation.T + m.translation
-        image, cov = splat_zbuffer(q, colors, k)
+        image, cov = splat_zbuffer(apply(path[lam], p0), colors, k)
         image[~cov] = BACKGROUND
         frames[lam] = image
         coverage[lam] = cov

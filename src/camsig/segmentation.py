@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from camsig.geometry import RigidMotion, Z_MIN, so3_log
+from camsig.geometry import RigidMotion, apply, pinhole, so3_log
 from camsig.rigidfit import FitConfig, UnderdeterminedFitError, fit_rigid
 from camsig.trajfield import PixelPartition, TrajectoryField
 
@@ -66,15 +66,8 @@ class SegmentationResult:
 
 def _observed_projections(field: TrajectoryField) -> np.ndarray:
     """Pixel observations of the tracked points (undefined where invisible)."""
-    k = field.intrinsics
-    pos = field.positions
-    uv = np.zeros(pos.shape[:2] + (2,))
-    vis = field.visibility
-    z = pos[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uv[..., 0] = k.fx * pos[..., 0] / z + k.cx
-        uv[..., 1] = k.fy * pos[..., 1] / z + k.cy
-    uv[~vis] = 0.0
+    uv, _ = pinhole(field.positions, field.intrinsics)
+    uv[~field.visibility] = 0.0
     return uv
 
 
@@ -84,20 +77,16 @@ def _per_point_errors(field, motions, obs, vis_count) -> np.ndarray:
     A point driven behind the camera by a motion cannot be explained by it
     and scores +inf for that frame.
     """
-    k = field.intrinsics
     t = field.num_frames
-    rot = np.stack([m.rotation for m in motions])
-    tr = np.stack([m.translation for m in motions])
-    q = np.einsum("tij,nj->tni", rot, field.positions[0]) + tr[:, None, :]
-    z = q[..., 2]
-    front = z >= Z_MIN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        du = k.fx * q[..., 0] / z + k.cx - obs[..., 0]
-        dv = k.fy * q[..., 1] / z + k.cy - obs[..., 1]
-    sq = du * du + dv * dv
-    sq[front & ~field.visibility] = 0.0
-    sq[~front & field.visibility] = math.inf
-    sq[~front & ~field.visibility] = 0.0
+    p0 = field.positions[0]
+    sq = np.empty((t, field.num_points))
+    for lam, m in enumerate(motions):
+        uv, front = pinhole(apply(m, p0), field.intrinsics)
+        du = uv[:, 0] - obs[lam, :, 0]
+        dv = uv[:, 1] - obs[lam, :, 1]
+        sq[lam] = du * du + dv * dv
+        sq[lam][~front] = math.inf
+    sq[~field.visibility] = 0.0
     return sq.sum(axis=0) * (t / vis_count)
 
 

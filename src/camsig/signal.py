@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from camsig.campath import CameraPath
-from camsig.geometry import Intrinsics, RigidMotion, Z_MIN, unproject
+from camsig.geometry import Intrinsics, RigidMotion, apply, in_image, pinhole, unproject
 from camsig.trajfield import ResidualField, TrajectoryField, _check_motions, grid_sample_uv
 
 
@@ -58,6 +58,8 @@ class MotionStrengthSeries:
             raise ValueError("strength series must be 1-D with matching flags")
         if self.m[0] != 0.0:
             raise ValueError("frame-0 motion strength must be zero")
+        if not np.isfinite(self.m).all():
+            raise ValueError("motion strength must be finite")
         if np.any(self.m < 0.0):
             raise ValueError("motion strength must be non-negative")
 
@@ -89,34 +91,22 @@ class ControlTensor:
 def _transport_channels(p0, motions, k: Intrinsics, grid_h, grid_w) -> TrajectoryChannels:
     """Project rigid transports of the frame-0 points for every frame."""
     t = len(motions)
-    rot = np.stack([m.rotation for m in motions])
-    tr = np.stack([m.translation for m in motions])
-    q = np.einsum("tij,nj->tni", rot, p0) + tr[:, None, :]
-    z = q[..., 2]
-    front = z >= Z_MIN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * q[..., 0] / z + k.cx
-        v = k.fy * q[..., 1] / z + k.cy
-    # Frustum: in front of the camera and inside the image footprint (pixel
-    # areas extend half a pixel beyond the centers).
-    valid = (
-        front
-        & (u >= -0.5)
-        & (u <= k.width - 0.5)
-        & (v >= -0.5)
-        & (v <= k.height - 0.5)
+    channels = np.empty((t, 2, p0.shape[0]))
+    valid = np.empty((t, p0.shape[0]), dtype=bool)
+    last = None
+    for lam, m in enumerate(motions):
+        uv, front = pinhole(apply(m, p0), k)
+        ok = front & in_image(uv, k)
+        # Out-of-frustum entries hold the last valid value; frame 0 keeps
+        # its own.
+        if last is not None:
+            uv[~ok] = last[~ok]
+        last = uv
+        channels[lam] = uv.T
+        valid[lam] = ok
+    return TrajectoryChannels(
+        channels.reshape(t, 2, grid_h, grid_w), valid.reshape(t, grid_h, grid_w)
     )
-    uv = np.stack([u, v], axis=-1)  # (T, N, 2)
-    # Hold the last valid value for out-of-frustum entries.
-    last = uv[0].copy()
-    for lam in range(t):
-        bad = ~valid[lam]
-        uv[lam][bad] = last[bad]
-        if lam > 0:
-            ok = valid[lam]
-            last[ok] = uv[lam][ok]
-    channels = uv.transpose(0, 2, 1).reshape(t, 2, grid_h, grid_w)
-    return TrajectoryChannels(channels, valid.reshape(t, grid_h, grid_w))
 
 
 def point_trajectory(field: TrajectoryField, motions: Sequence[RigidMotion]) -> TrajectoryChannels:
@@ -184,8 +174,8 @@ def build_inference_signal(
     if bad.size:
         i, j = bad[0]
         raise ValueError(f"non-positive depth at pixel (row {i}, col {j})")
-    if m_user < 0.0:
-        raise ValueError("motion strength must be non-negative")
+    if not (np.isfinite(m_user) and m_user >= 0.0):
+        raise ValueError("motion strength must be finite and non-negative")
 
     uv = grid_sample_uv(h, w, k)
     p0 = unproject(uv, depth.ravel(), k)

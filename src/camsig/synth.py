@@ -20,8 +20,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from camsig.campath import CameraPath, load_path  # noqa: F401  (re-export convenience)
-from camsig.geometry import Intrinsics, RigidMotion, Z_MIN, apply, unproject
+from camsig.campath import CameraPath
+from camsig.geometry import Intrinsics, RigidMotion, apply, pinhole, unproject
 from camsig.trajfield import PixelPartition, TrajectoryField, grid_sample_uv
 
 
@@ -150,19 +150,13 @@ def generate_scene(spec: SceneSpec, path: CameraPath) -> GroundTruth:
             for lam in range(t):
                 disp[lam][m] = apply(obj.motions[lam], p0[m]) - p0[m]
 
-    rot = path.rotations()
-    tr = path.translations()
-    exact = np.einsum("tij,tnj->tni", rot, p0[None, :, :] + disp) + tr[:, None, :]
+    exact = np.stack([apply(m, p0 + d) for m, d in zip(path.motions, disp)])
 
-    z = exact[..., 2]
     # A point stays visible while it is in front of the camera; points that
     # drift outside the image keep exact coordinates, like a tracker that
     # reports off-screen positions. File export narrows this to the image
     # footprint where depth maps exist.
-    visible = z >= Z_MIN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = k.fx * exact[..., 0] / z + k.cx
-        v = k.fy * exact[..., 1] / z + k.cy
+    uv, visible = pinhole(exact, k)
     if not visible[0].all():
         raise ValueError("object not visible in frame 0")
 
@@ -171,8 +165,7 @@ def generate_scene(spec: SceneSpec, path: CameraPath) -> GroundTruth:
         if spec.track_noise > 0.0:
             eta = rng.normal(0.0, spec.track_noise, size=(n, 2))
             vis = visible[lam]
-            noisy_uv = np.stack([u[lam] + eta[:, 0], v[lam] + eta[:, 1]], axis=1)
-            positions[lam][vis] = unproject(noisy_uv[vis], z[lam][vis], k)
+            positions[lam][vis] = unproject((uv[lam] + eta)[vis], exact[lam][vis, 2], k)
         bad = ~visible[lam]
         positions[lam][bad] = positions[lam - 1][bad]
 
@@ -180,7 +173,7 @@ def generate_scene(spec: SceneSpec, path: CameraPath) -> GroundTruth:
 
     # Analytic strength from the camera-rotated object displacements; the
     # static background contributes exactly zero.
-    residual = np.einsum("tij,tnj->tni", rot, disp)
+    residual = np.einsum("tij,tnj->tni", path.rotations(), disp)
     true_m = np.zeros(t)
     for lam in range(1, t):
         both = visible[lam] & visible[lam - 1]

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from camsig.geometry import Intrinsics, RigidMotion, Z_MIN
+from camsig.geometry import Intrinsics, RigidMotion, Z_MIN, apply
 
 
 def grid_sample_uv(grid_h: int, grid_w: int, k: Intrinsics) -> np.ndarray:
@@ -137,9 +137,9 @@ def residual_g(field: TrajectoryField, motions: Sequence[RigidMotion]) -> Residu
     invisible at a frame are computed but flagged invalid.
     """
     _check_motions(motions, field.num_frames)
-    rot = np.stack([m.rotation for m in motions])
-    tr = np.stack([m.translation for m in motions])
-    transported = np.einsum("tij,nj->tni", rot, field.positions[0]) + tr[:, None, :]
-    g = field.positions - transported
+    p0 = field.positions[0]
+    g = np.empty_like(field.positions)
+    for lam, m in enumerate(motions):
+        g[lam] = field.positions[lam] - apply(m, p0)
     g[0] = 0.0  # guaranteed by the identity check; pinned against rounding
     return ResidualField(g, field.visibility.copy(), field.grid_h, field.grid_w)

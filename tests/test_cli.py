@@ -136,6 +136,52 @@ def test_signal_from_path_strength_600(tmp_path):
     assert np.all(ct.data[1:, 2] == 600.0)
 
 
+def signal_from_path_argv(tmp_path, path_file, strength="1"):
+    depth_file = tmp_path / "d.tcd"
+    write_depth(depth_file, np.full((K32.height, K32.width), 3.0))
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    return [
+        "signal-from-path",
+        "--depth", str(depth_file),
+        "--intrinsics", str(k_file),
+        "--path", str(path_file),
+        "--motion-strength", strength,
+        "--out", str(tmp_path / "t.tcs"),
+    ]
+
+
+IDENTITY_FRAME = {"R": np.eye(3).tolist(), "t": [0.0, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"frames": [IDENTITY_FRAME, {"t": [0.0, 0.0, 0.0]}]},
+        {"frames": 5},
+        {"frames": [IDENTITY_FRAME, [1.0, 2.0, 3.0]]},
+        {"frames": [IDENTITY_FRAME, {"R": {"x": 1}, "t": [0.0, 0.0, 0.0]}]},
+    ],
+    ids=["frame-without-R", "frames-not-a-list", "frame-not-an-object", "non-numeric-R"],
+)
+def test_malformed_path_json_is_data_error(tmp_path, capsys, doc):
+    path_file = tmp_path / "p.json"
+    path_file.write_text(json.dumps(doc))
+    assert main(signal_from_path_argv(tmp_path, path_file)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path_file}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "t.tcs").exists()
+
+
+@pytest.mark.parametrize("strength", ["nan", "inf"])
+def test_non_finite_motion_strength_is_data_error(tmp_path, strength):
+    path_file = tmp_path / "p.json"
+    write_zoom_roll_path(path_file)
+    assert main(signal_from_path_argv(tmp_path, path_file, strength)) == 2
+    assert not (tmp_path / "t.tcs").exists()
+
+
 def test_preview_command(tmp_path):
     out = run_synth(tmp_path)
     k_file = tmp_path / "k.json"

@@ -5,10 +5,13 @@ from scipy.spatial.transform import Rotation
 from camsig.geometry import (
     Intrinsics,
     RigidMotion,
+    Z_MIN,
     apply,
     compose,
     geodesic_angle,
+    in_image,
     is_rotation,
+    pinhole,
     project,
     so3_exp,
     so3_log,
@@ -101,6 +104,32 @@ class TestProjection:
         k = Intrinsics(100.0, 100.0, 50.0, 60.0, 200, 200)
         with pytest.raises(ValueError, match="behind camera"):
             project(np.array([0.0, 0.0, -1.0]), k)
+
+    def test_pinhole_flags_points_behind_camera(self):
+        gen = rng(107)
+        p = random_points(gen, 200, z_range=(-1.0, 3.0))
+        p[:3, 2] = [Z_MIN, np.nextafter(Z_MIN, 0.0), 0.0]
+        uv, front = pinhole(p, K64)
+        assert np.array_equal(front, p[:, 2] >= Z_MIN)
+        assert front[0] and not front[1] and not front[2]
+        assert np.array_equal(uv[front], project(p[front], K64))
+        with pytest.raises(ValueError, match="behind camera"):
+            project(p, K64)
+
+    def test_in_image_edges(self):
+        k = Intrinsics(10.0, 10.0, 4.0, 3.0, 8, 6)
+        edge = np.nextafter
+        uv = np.array([
+            [-0.5, -0.5],
+            [7.5, 5.5],
+            [-0.5, 5.5],
+            [7.5, -0.5],
+            [edge(-0.5, -1.0), 0.0],
+            [edge(7.5, 8.0), 0.0],
+            [0.0, edge(-0.5, -1.0)],
+            [0.0, edge(5.5, 6.0)],
+        ])
+        assert in_image(uv, k).tolist() == [True] * 4 + [False] * 4
 
     def test_unproject_principal_point(self):
         k = Intrinsics(100.0, 100.0, 50.0, 60.0, 200, 200)

@@ -170,6 +170,12 @@ def test_inference_signal_identity_path_is_pixel_grid():
         assert np.max(np.abs(ct.data[lam, 1].ravel() - grid[:, 1])) < 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_strength_series_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        MotionStrengthSeries(np.array([0.0, bad]), np.zeros(2, dtype=bool))
+
+
 def test_inference_signal_rejects_bad_depth():
     depth = np.full((K32.height, K32.width), 2.0)
     depth[3, 7] = 0.0
