@@ -11,6 +11,7 @@ the scene clockwise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,8 +80,8 @@ class PrimitiveSpec:
     def __post_init__(self):
         if self.kind not in PRIMITIVE_KINDS:
             raise ValueError(f"unknown primitive kind: {self.kind!r}")
-        if self.magnitude < 0.0:
-            raise ValueError("magnitude must be non-negative")
+        if not (math.isfinite(self.magnitude) and self.magnitude >= 0.0):
+            raise ValueError(f"magnitude must be finite and non-negative, got {self.magnitude}")
         if self.frames < 2:
             raise ValueError("primitive needs at least two frames")
 

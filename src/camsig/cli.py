@@ -235,6 +235,10 @@ def cmd_signal_from_video(args) -> int:
 
 
 def cmd_signal_from_path(args) -> int:
+    if not (math.isfinite(args.motion_strength) and args.motion_strength >= 0.0):
+        raise DataError(
+            f"--motion-strength must be finite and non-negative, got {args.motion_strength}"
+        )
     k = _load_intrinsics(args.intrinsics)
     depth0 = _load(args.depth, read_depth)
     path = _load(args.path, load_path)
@@ -385,13 +389,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 0:
+            parser.error(f"--threads must be >= 0 (0 = auto), got {args.threads}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     logging.basicConfig(level=logging.ERROR if args.quiet else logging.WARNING)
-    args.resolved_threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    args.resolved_threads = args.threads or os.cpu_count() or 1
     try:
         return args.func(args)
     except UsageError as exc:

@@ -56,7 +56,10 @@ def splat_zbuffer(points, values, k: Intrinsics):
 
     values is (N, ...) per-point payload; returns (image (H, W, ...),
     coverage (H, W)). Smaller z wins; on exactly equal z the smaller source
-    index wins, so the result is independent of splat order.
+    index wins. Two unbuffered scatter-mins over the flat pixel grid pick
+    the winner: the first gives each pixel's nearest depth, the second the
+    smallest source index among the points at that depth. A minimum does
+    not depend on order, so neither does the result.
     """
     h, w = k.height, k.width
     uv, front = pinhole(points, k)
@@ -68,10 +71,14 @@ def splat_zbuffer(points, values, k: Intrinsics):
     lin = vi[inside] * w + ui[inside]
     zin = points[idx, 2]
 
-    order = np.lexsort((idx, zin))  # by depth, ties by source index
-    lin_sorted = lin[order]
-    pixels, first = np.unique(lin_sorted, return_index=True)
-    winners = idx[order[first]]
+    zbuf = np.full(h * w, np.inf)
+    np.minimum.at(zbuf, lin, zin)
+    tie = zin == zbuf[lin]
+    n = len(points)
+    ibuf = np.full(h * w, n, dtype=np.int64)  # n marks an uncovered pixel
+    np.minimum.at(ibuf, lin[tie], idx[tie])
+    pixels = np.flatnonzero(ibuf < n)
+    winners = ibuf[pixels]
 
     image = np.zeros((h * w,) + values.shape[1:], dtype=values.dtype)
     coverage = np.zeros(h * w, dtype=bool)

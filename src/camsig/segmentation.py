@@ -43,8 +43,8 @@ class SegmentationConfig:
     fit: FitConfig = dc_field(default_factory=FitConfig)
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         if self.max_iterations < 1:

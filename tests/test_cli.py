@@ -175,11 +175,64 @@ def test_malformed_path_json_is_data_error(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize("strength", ["nan", "inf"])
-def test_non_finite_motion_strength_is_data_error(tmp_path, strength):
+def test_non_finite_motion_strength_is_data_error(tmp_path, capsys, strength):
     path_file = tmp_path / "p.json"
     write_zoom_roll_path(path_file)
     assert main(signal_from_path_argv(tmp_path, path_file, strength)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --motion-strength must be finite and non-negative, got {strength}\n"
     assert not (tmp_path / "t.tcs").exists()
+
+
+def test_bad_depth_blames_depth_file(tmp_path, capsys):
+    path_file = tmp_path / "p.json"
+    write_zoom_roll_path(path_file)
+    argv = signal_from_path_argv(tmp_path, path_file)
+    depth_file = tmp_path / "d.tcd"
+    write_depth(depth_file, np.full((K32.height, K32.width + 1), 3.0))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {depth_file}: depth map dimensions")
+    assert not (tmp_path / "t.tcs").exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "signal-from-video"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_non_finite_epsilon_is_data_error(tmp_path, capsys, command, epsilon):
+    out = run_synth(tmp_path)
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    target = tmp_path / "result"
+    code = main([
+        command,
+        "--tracks", str(out / "tracks.tct"),
+        "--depth-dir", str(out),
+        "--intrinsics", str(k_file),
+        "--epsilon", epsilon,
+        "--out", str(target),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: epsilon must be finite and positive, got {epsilon}\n"
+    assert not target.exists()
+    assert not target.with_suffix(".m.json").exists()
+
+
+@pytest.mark.parametrize("magnitude", ["nan", "inf", "-0.5"])
+def test_bad_magnitude_is_data_error(tmp_path, capsys, magnitude):
+    out = tmp_path / "p.json"
+    code = main(["path", "--primitive", "pan_left", "--magnitude", magnitude, "--frames", "4", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: magnitude must be finite and non-negative, got {float(magnitude)}\n"
+    assert not out.exists()
+
+
+def test_negative_threads_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    argv = ["path", "--primitive", "pan_left", "--magnitude", "0.2", "--frames", "4", "--out", str(out)]
+    assert main(["--threads", "-1"] + argv) == 1
+    assert "--threads must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["--threads", "0"] + argv) == 0
 
 
 def test_preview_command(tmp_path):
