@@ -8,7 +8,9 @@ Conventions used throughout the package:
   - camera axes: x right, y down, z forward (optical axis)
   - pixel axes: u rightward, v downward; integer coordinates are pixel centers
   - rotation matrices are 3x3 row-major and act on column vectors (R @ p)
-  - points are float arrays of shape (..., 3), pixels of shape (..., 2)
+  - points are float arrays of shape (..., 3), pixels of shape (..., 2);
+    apply and pinhole compute them column by column and return views of
+    coordinate-major (3, ...) or (2, ...) buffers
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0.0 and self.fy > 0.0):
-            raise ValueError("focal lengths must be positive")
+        if not (0.0 < self.fx < math.inf and 0.0 < self.fy < math.inf):
+            raise ValueError(f"focal lengths must be finite and positive, got {self.fx}, {self.fy}")
         if not (self.width > 0 and self.height > 0):
             raise ValueError("image dimensions must be positive")
         if not (0.0 <= self.cx < self.width and 0.0 <= self.cy < self.height):
@@ -183,15 +185,19 @@ def pinhole(points, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Pinhole projection without raising: (uv, front) over (..., 3) points.
 
     front is z >= Z_MIN; uv is undefined (possibly inf or nan) where front
-    is False.
+    is False. uv is computed as fx·x / z + cx (and fy·y / z + cy) from whole
+    columns and returned as a view of a (2, ...) buffer.
     """
     p = np.asarray(points, dtype=float)
     z = p[..., 2]
-    uv = np.empty(p.shape[:-1] + (2,))
+    cols = np.empty((2,) + z.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        uv[..., 0] = k.fx * p[..., 0] / z + k.cx
-        uv[..., 1] = k.fy * p[..., 1] / z + k.cy
-    return uv, z >= Z_MIN
+        for i, (f, c) in enumerate(((k.fx, k.cx), (k.fy, k.cy))):
+            col = cols[i, ...]  # a writable view even for a single point
+            np.multiply(f, p[..., i], out=col)
+            col /= z
+            col += c
+    return np.moveaxis(cols, 0, -1), z >= Z_MIN
 
 
 def project(points, k: Intrinsics) -> np.ndarray:
@@ -225,10 +231,28 @@ def unproject(px, depth, k: Intrinsics) -> np.ndarray:
 def apply(m: RigidMotion, points) -> np.ndarray:
     """Transform points by a rigid motion: R @ p + t, vectorized over (..., 3).
 
-    einsum, not matmul: BLAS fuses multiply-adds and changes the last bits.
+    Each output coordinate is computed from whole coordinate columns as
+    ((r[i,0]·x + r[i,2]·z) + r[i,1]·y) + t[i], rounding after every
+    operation. That is the order in which numpy's einsum sums a contiguous
+    (x, y, z) triple (its SIMD kernel adds lanes 0 and 2 before lane 1), so
+    the result equals, bit for bit, the einsum transport of row-major points
+    that the recorded output files were made with, whatever the layout of
+    `points`. (einsum itself sums strided triples in another order.) Matmul
+    stays out: BLAS fuses multiply-adds, which changes the last bits.
+    Columns are read fastest when contiguous, as in the transpose of a
+    (3, N) array. The result is a view of a (3, ...) buffer.
     """
     p = np.asarray(points, dtype=float)
-    return np.einsum("ij,...j->...i", m.rotation, p) + m.translation
+    r, t = m.rotation, m.translation
+    cols = np.empty((3,) + p.shape[:-1])
+    term = np.empty(p.shape[:-1])
+    for i in range(3):
+        col = cols[i, ...]  # a writable view even for a single point
+        np.multiply(r[i, 0], p[..., 0], out=col)
+        col += np.multiply(r[i, 2], p[..., 2], out=term)
+        col += np.multiply(r[i, 1], p[..., 1], out=term)
+        col += t[i] + 0.0  # einsum's sum is never -0.0, so a -0.0 shift acts as +0.0
+    return np.moveaxis(cols, 0, -1)
 
 
 def compose(outer: RigidMotion, inner: RigidMotion) -> RigidMotion:

@@ -92,7 +92,8 @@ def render_preview(frame0: RgbdFrame, path: CameraPath, threads: int = 1) -> Pre
     k = frame0.intrinsics
     h, w = k.height, k.width
     uv = grid_sample_uv(h, w, k)
-    p0 = unproject(uv, frame0.depth.ravel(), k)
+    # One contiguous column per coordinate, the layout apply reads fastest.
+    cols = np.ascontiguousarray(unproject(uv, frame0.depth.ravel(), k).T)
     colors = frame0.rgb.reshape(-1, 3)
 
     t = len(path)
@@ -100,7 +101,7 @@ def render_preview(frame0: RgbdFrame, path: CameraPath, threads: int = 1) -> Pre
     coverage = np.empty((t, h, w), dtype=bool)
 
     def render_one(lam):
-        image, cov = splat_zbuffer(apply(path[lam], p0), colors, k)
+        image, cov = splat_zbuffer(apply(path[lam], cols.T), colors, k)
         image[~cov] = BACKGROUND
         frames[lam] = image
         coverage[lam] = cov

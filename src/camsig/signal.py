@@ -91,18 +91,17 @@ class ControlTensor:
 def _transport_channels(p0, motions, k: Intrinsics, grid_h, grid_w) -> TrajectoryChannels:
     """Project rigid transports of the frame-0 points for every frame."""
     t = len(motions)
+    cols = np.ascontiguousarray(p0.T)  # one contiguous column per coordinate
     channels = np.empty((t, 2, p0.shape[0]))
     valid = np.empty((t, p0.shape[0]), dtype=bool)
-    last = None
     for lam, m in enumerate(motions):
-        uv, front = pinhole(apply(m, p0), k)
+        uv, front = pinhole(apply(m, cols.T), k)
         ok = front & in_image(uv, k)
+        channels[lam] = uv.T
         # Out-of-frustum entries hold the last valid value; frame 0 keeps
         # its own.
-        if last is not None:
-            uv[~ok] = last[~ok]
-        last = uv
-        channels[lam] = uv.T
+        if lam:
+            np.copyto(channels[lam], channels[lam - 1], where=~ok)
         valid[lam] = ok
     return TrajectoryChannels(
         channels.reshape(t, 2, grid_h, grid_w), valid.reshape(t, grid_h, grid_w)
@@ -170,10 +169,12 @@ def build_inference_signal(
     h, w = depth.shape
     if (h, w) != (k.height, k.width):
         raise ValueError("depth map dimensions do not match intrinsics")
-    bad = np.argwhere(depth <= 0.0)
+    bad = np.argwhere(~((depth > 0.0) & np.isfinite(depth)))
     if bad.size:
         i, j = bad[0]
-        raise ValueError(f"non-positive depth at pixel (row {i}, col {j})")
+        raise ValueError(
+            f"depth must be finite and positive, got {depth[i, j]} at pixel (row {i}, col {j})"
+        )
     if not (np.isfinite(m_user) and m_user >= 0.0):
         raise ValueError("motion strength must be finite and non-negative")
 

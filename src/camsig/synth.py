@@ -16,6 +16,7 @@ camera, with exact coordinates even outside the image rectangle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -40,14 +41,14 @@ class DynamicObject:
     motions: list | None = None
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("object radius must be positive")
+        if not (0.0 < self.radius < math.inf):
+            raise ValueError(f"object radius must be finite and positive, got {self.radius}")
         if (self.velocity is None) == (self.motions is None):
             raise ValueError("object needs exactly one of velocity or motions")
         if self.velocity is not None:
             self.velocity = np.asarray(self.velocity, dtype=float)
-            if self.velocity.shape != (3,):
-                raise ValueError("velocity must be a 3-vector")
+            if self.velocity.shape != (3,) or not np.isfinite(self.velocity).all():
+                raise ValueError(f"velocity must be a finite 3-vector, got {self.velocity}")
 
 
 @dataclass
@@ -68,10 +69,12 @@ class SceneSpec:
     def __post_init__(self):
         if self.frames < 1:
             raise ValueError("scene needs at least one frame")
-        if not (0.0 < self.z_near <= self.z_far):
-            raise ValueError("need 0 < z_near <= z_far")
-        if self.depth_jitter < 0.0 or self.track_noise < 0.0:
-            raise ValueError("jitter and noise must be non-negative")
+        if not (0.0 < self.z_near <= self.z_far < math.inf):
+            raise ValueError(f"need finite 0 < z_near <= z_far, got {self.z_near}, {self.z_far}")
+        for name in ("depth_jitter", "track_noise"):
+            value = getattr(self, name)
+            if not (0.0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.grid_h != self.intrinsics.height or self.grid_w != self.intrinsics.width:
             raise ValueError("grid dimensions must equal image dimensions")
 

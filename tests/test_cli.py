@@ -349,3 +349,36 @@ def test_help_lists_all_flags(capsys):
     text = capsys.readouterr().out
     for flag in ("--seed", "--threads", "--quiet"):
         assert flag in text
+
+
+@pytest.mark.parametrize("field", ["depth_jitter", "track_noise", "radius"])
+def test_non_finite_scene_value_is_data_error(tmp_path, capsys, field):
+    scene = tmp_path / "scene.json"
+    path = tmp_path / "path.json"
+    out = tmp_path / "synth"
+    objects = [{"center": [15.5, 15.5], "radius": 5.0, "velocity": [0.0, 0.05, 0.0]}]
+    write_scene(scene, objects=objects)
+    doc = json.loads(scene.read_text())
+    if field == "radius":
+        doc["objects"][0]["radius"] = float("nan")
+    else:
+        doc[field] = float("nan")
+    scene.write_text(json.dumps(doc))  # writes the JSON extension NaN
+    write_zoom_roll_path(path)
+    assert main(["synth", "--scene", str(scene), "--path", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {scene}: ") and f"{field} must be finite" in err
+    assert not out.exists()
+
+
+def test_infinite_focal_length_is_data_error(tmp_path, capsys):
+    path_file = tmp_path / "p.json"
+    write_zoom_roll_path(path_file)
+    argv = signal_from_path_argv(tmp_path, path_file)
+    k_file = tmp_path / "k.json"
+    k_file.write_text(json.dumps({**K32.to_dict(), "fx": float("inf")}))  # JSON Infinity
+    assert "Infinity" in k_file.read_text()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {k_file}: focal lengths must be finite and positive")
+    assert not (tmp_path / "t.tcs").exists()

@@ -18,7 +18,7 @@ from camsig.geometry import (
     so3_right_jacobian,
     unproject,
 )
-from util import K64, random_rotation, random_points, rng
+from util import K64, random_motion, random_rotation, random_points, rng
 
 
 class TestSo3:
@@ -219,3 +219,134 @@ class TestIntrinsics:
             Intrinsics(-1.0, 1.0, 0.0, 0.0, 2, 2)
         with pytest.raises(ValueError):
             Intrinsics(1.0, 1.0, 5.0, 0.0, 2, 2)
+
+    def test_infinite_focal_length_rejected(self):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Intrinsics(np.inf, 1.0, 0.0, 0.0, 2, 2)
+        with pytest.raises(ValueError, match="finite and positive"):
+            Intrinsics(1.0, np.nan, 0.0, 0.0, 2, 2)
+        d = {"fx": 64.0, "fy": float("inf"), "cx": 31.5, "cy": 31.5, "width": 64, "height": 64}
+        with pytest.raises(ValueError, match="finite and positive"):
+            Intrinsics.from_dict(d)
+
+
+def reference_apply(m, points):
+    """The transport the recorded outputs were made with: einsum over
+    row-major (x, y, z) triples. einsum sums a strided triple in another
+    order, so the reference always gets a C-ordered copy."""
+    p = np.ascontiguousarray(points, dtype=float)
+    return np.einsum("ij,...j->...i", m.rotation, p) + m.translation
+
+
+def reference_pinhole(points, k):
+    p = np.asarray(points, dtype=float)
+    z = p[..., 2]
+    uv = np.empty(p.shape[:-1] + (2,))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv[..., 0] = k.fx * p[..., 0] / z + k.cx
+        uv[..., 1] = k.fy * p[..., 1] / z + k.cy
+    return uv, z >= Z_MIN
+
+
+def reference_unproject(px, depth, k):
+    uv = np.asarray(px, dtype=float)
+    out = np.empty(uv.shape[:-1] + (3,))
+    out[..., 0] = (uv[..., 0] - k.cx) / k.fx * depth
+    out[..., 1] = (uv[..., 1] - k.cy) / k.fy * depth
+    out[..., 2] = depth
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def layouts(a):
+    """The same array C-ordered, Fortran-ordered, strided and coordinate-major."""
+    wide = np.zeros(a.shape[:-1] + (3 * a.shape[-1],))
+    wide[..., 1::3] = a
+    return {
+        "C": np.ascontiguousarray(a),
+        "F": np.asfortranarray(a),
+        "strided": wide[..., 1::3],
+        "columns": np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -1, 0)), 0, -1),
+    }
+
+
+def kernel_points():
+    """(T, N, 3) points in front of, at and behind the camera plane."""
+    gen = rng(108)
+    p = random_points(gen, 4 * 60, z_range=(-1.0, 4.0)).reshape(4, 60, 3)
+    p[0, :5, 2] = [Z_MIN, np.nextafter(Z_MIN, 0.0), 0.0, -Z_MIN, -0.0]
+    p[1, :2, :2] = 0.0  # on the optical axis
+    p[1, 2] = [-0.0, 0.5, 2.0]
+    return p
+
+
+def kernel_motions():
+    gen = rng(109)
+    signed_zeros = RigidMotion(
+        np.array([[1.0, -0.0, -0.0], [0.0, 1.0, 0.0], [-0.0, 0.0, 1.0]]), np.array([-0.0, 0.0, -0.0])
+    )
+    motions = [RigidMotion.identity(), signed_zeros]
+    motions += [random_motion(gen, max_angle=2.5, max_shift=2.0) for _ in range(4)]
+    return motions
+
+
+def by_shape(a):
+    """(T, N, k) data as one (T, N, k), one (N, k) and several (k,) arrays."""
+    return [a, a[1]] + list(a[2, :6]) + list(a[0, :5])
+
+
+class TestColumnKernel:
+    """apply, pinhole and unproject against the arithmetic of the recorded outputs."""
+
+    def test_data_tells_summation_orders_apart(self):
+        # Left-to-right sums differ from the reference in the last bits on
+        # this data, so a change of order cannot pass the tests below.
+        p = kernel_points()
+        m = kernel_motions()[2]
+        r, t = m.rotation, m.translation
+        x, y, z = p[..., 0], p[..., 1], p[..., 2]
+        left = np.stack([((r[i, 0] * x + r[i, 1] * y) + r[i, 2] * z) + t[i] for i in range(3)], -1)
+        assert not np.array_equal(left, reference_apply(m, p))
+
+    def test_apply_matches_einsum_reference(self):
+        for m in kernel_motions():
+            for p in by_shape(kernel_points()):
+                want = reference_apply(m, p)
+                for name, q in layouts(p).items():
+                    got = apply(m, q)
+                    assert got.shape == p.shape and got.dtype == np.float64, name
+                    assert np.array_equal(bits(got), bits(want)), name
+
+    def test_pinhole_matches_inline_arithmetic(self):
+        k = Intrinsics(48.0, 52.5, 15.5, 14.25, 32, 30)
+        for p in by_shape(kernel_points()):
+            want_uv, want_front = reference_pinhole(p, k)
+            for name, q in layouts(p).items():
+                uv, front = pinhole(q, k)
+                assert uv.shape == p.shape[:-1] + (2,) and np.shape(front) == p.shape[:-1], name
+                assert np.array_equal(front, want_front), name
+                assert np.array_equal(bits(uv), bits(want_uv)), name
+
+    def test_pinhole_of_transport_is_coordinate_major(self):
+        # Each coordinate of the results is one contiguous column.
+        p = kernel_points()[1]
+        q = apply(kernel_motions()[3], p)
+        uv, _ = pinhole(q, K64)
+        assert np.moveaxis(q, -1, 0).flags.c_contiguous
+        assert np.moveaxis(uv, -1, 0).flags.c_contiguous
+
+    def test_unproject_matches_inline_arithmetic(self):
+        gen = rng(110)
+        px = gen.uniform(-10.0, 70.0, size=(3, 40, 2))
+        depth = gen.uniform(0.1, 50.0, size=(3, 40))
+        depth[0, :2] = [Z_MIN, np.finfo(float).tiny]
+        for px_s, d_s in zip(by_shape(px), by_shape(depth[..., None])):
+            d = d_s[..., 0]
+            want = reference_unproject(px_s, d, K64)
+            for name, q in layouts(px_s).items():
+                got = unproject(q, d, K64)
+                assert got.shape == px_s.shape[:-1] + (3,), name
+                assert np.array_equal(bits(got), bits(want)), name

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from camsig.campath import CameraPath, PrimitiveSpec, generate_primitive
-from camsig.geometry import Intrinsics, RigidMotion
-from camsig.preview import RgbdFrame, render_preview
-from util import K32, identity_motions, rng
+from camsig.geometry import Intrinsics, RigidMotion, unproject
+from camsig.preview import BACKGROUND, RgbdFrame, render_preview
+from camsig.trajfield import grid_sample_uv
+from test_splat_reference import reference_splat
+from util import K32, identity_motions, rng, smooth_motions
 
 
 def checker_frame(k=K32, z=2.0, jitter=0.0, seed=50):
@@ -152,3 +154,23 @@ def test_rgbd_frame_validation():
                   np.zeros((K32.height, K32.width)), K32)
     with pytest.raises(ValueError, match="intrinsics"):
         RgbdFrame(np.zeros((4, 4, 3), dtype=np.uint8), np.ones((4, 4)), K32)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_render_matches_einsum_transport_and_sort_oracle(threads):
+    # The preview bytes were recorded with an einsum transport of the
+    # row-major frame-0 cloud and a sort-based z-buffer; general rotations
+    # make the transport's summation order matter.
+    frame0 = checker_frame(jitter=0.4, seed=51)
+    path = CameraPath(smooth_motions(5, rng(52), max_angle=0.5, max_shift=0.6))
+    k = frame0.intrinsics
+    p0 = unproject(grid_sample_uv(k.height, k.width, k), frame0.depth.ravel(), k)
+    colors = frame0.rgb.reshape(-1, 3)
+    got = render_preview(frame0, path, threads=threads)
+    for lam, m in enumerate(path.motions):
+        q = np.einsum("ij,nj->ni", m.rotation, p0) + m.translation
+        image, coverage = reference_splat(q, colors, k)
+        image[~coverage] = BACKGROUND
+        assert np.array_equal(got.frames[lam], image)
+        assert np.array_equal(got.coverage[lam], coverage)
+    assert not got.coverage[1:].all()

@@ -215,3 +215,12 @@ def test_big_shape_packing():
     path = generate_primitive(PrimitiveSpec("pan_right", 0.3, t))
     ct = build_inference_signal(np.asarray(depth, dtype=float), k, path, 300.0)
     assert ct.data.shape == (24, 3, 448, 704)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_inference_signal_rejects_non_finite_depth(bad):
+    depth = np.full((K32.height, K32.width), 2.0)
+    depth[5, 2] = bad
+    path = CameraPath(identity_motions(3))
+    with pytest.raises(ValueError, match=r"finite and positive, got .* \(row 5, col 2\)"):
+        build_inference_signal(depth, K32, path, 10.0)

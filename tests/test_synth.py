@@ -146,3 +146,21 @@ def test_spec_validation():
         DynamicObject(center=(1.0, 1.0), radius=2.0)
     with pytest.raises(ValueError):
         DynamicObject(center=(1.0, 1.0), radius=-2.0, velocity=(0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["depth_jitter", "track_noise"])
+def test_spec_rejects_non_finite_noise(field, bad):
+    kwargs = dict(frames=4, grid_h=32, grid_w=32, intrinsics=K32, z_near=1.0, z_far=2.0)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SceneSpec(**kwargs, **{field: bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spec_rejects_non_finite_object_and_depth_range(bad):
+    with pytest.raises(ValueError, match="radius must be finite"):
+        DynamicObject(center=(1.0, 1.0), radius=bad, velocity=(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="velocity must be a finite"):
+        DynamicObject(center=(1.0, 1.0), radius=2.0, velocity=(0.0, bad, 0.0))
+    with pytest.raises(ValueError, match="z_far"):
+        SceneSpec(frames=4, grid_h=32, grid_w=32, intrinsics=K32, z_near=1.0, z_far=bad)
