@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from camsig.geometry import RigidMotion, compose, is_rotation, so3_exp
+from camsig.geometry import json_list, json_number, json_object
 
 PRIMITIVE_KINDS = (
     "pan_left",
@@ -106,37 +107,32 @@ def compose_paths(outer: CameraPath, inner: CameraPath) -> CameraPath:
     return CameraPath([compose(a, b) for a, b in zip(outer.motions, inner.motions)])
 
 
+def motion_to_dict(m: RigidMotion) -> dict:
+    """The JSON form of one frame's motion: {"R": 3x3 rows, "t": 3-vector}."""
+    return {"R": m.rotation.tolist(), "t": m.translation.tolist()}
+
+
+def motion_from_dict(doc, frame: int) -> RigidMotion:
+    """Parse one frame's {"R", "t"} motion; R must be a rotation."""
+    try:
+        json_object(doc, "motion", ("R", "t"))
+        r = json_number(doc, "R", (3, 3))
+        t = json_number(doc, "t", (3,))
+    except ValueError as exc:
+        raise ValueError(f"frame {frame}: {exc}") from None
+    if not is_rotation(r, atol=1e-6):
+        raise ValueError(f"invalid rotation at frame {frame}")
+    return RigidMotion(r, t)
+
+
 def save_path(path: CameraPath, file) -> None:
     """Write the canonical path JSON: {"frames": [{"R": ..., "t": ...}, ...]}."""
-    doc = {
-        "frames": [
-            {"R": m.rotation.tolist(), "t": m.translation.tolist()} for m in path.motions
-        ]
-    }
+    doc = {"frames": [motion_to_dict(m) for m in path.motions]}
     Path(file).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_path(file) -> CameraPath:
     """Read a path JSON, validating rotations and the frame-0 identity."""
-    doc = json.loads(Path(file).read_text())
-    if not isinstance(doc, dict) or not isinstance(doc.get("frames"), list):
-        raise ValueError("path file must be an object with a 'frames' list")
-    motions = []
-    for lam, entry in enumerate(doc["frames"]):
-        if not (isinstance(entry, dict) and "R" in entry and "t" in entry):
-            raise ValueError(f"frame {lam} must be an object with 'R' and 't'")
-        try:
-            r = np.asarray(entry["R"], dtype=float)
-            t = np.asarray(entry["t"], dtype=float)
-        except TypeError as exc:
-            raise ValueError(f"non-numeric motion at frame {lam}") from exc
-        if r.shape != (3, 3) or t.shape != (3,):
-            raise ValueError(f"invalid motion shape at frame {lam}")
-        if not is_rotation(r, atol=1e-6):
-            raise ValueError(f"invalid rotation at frame {lam}")
-        motions.append(RigidMotion(r, t))
-    if not motions:
-        raise ValueError("path file contains no frames")
-    if not motions[0].is_identity():
-        raise ValueError("frame-0 motion must be identity")
-    return CameraPath(motions)
+    doc = json_object(json.loads(Path(file).read_text()), "path", ("frames",))
+    frames = json_list(doc, "frames")
+    return CameraPath([motion_from_dict(m, lam) for lam, m in enumerate(frames)])

@@ -24,11 +24,11 @@ from camsig.campath import (
     PrimitiveSpec,
     generate_primitive,
     load_path,
+    motion_to_dict,
     save_path,
 )
 from camsig.geometry import Intrinsics, in_image, project
 from camsig.io import (
-    FormatError,
     Tracks,
     assemble_field,
     read_correspondences,
@@ -77,22 +77,13 @@ def _load(path, reader):
     """Run a reader, prefixing any failure with the offending file."""
     try:
         return reader(path)
-    except (FormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a FormatError is a ValueError
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _load_intrinsics(path) -> Intrinsics:
-    def reader(p):
-        return Intrinsics.from_dict(json.loads(Path(p).read_text()))
-
-    return _load(path, reader)
-
-
-def _load_scene(path):
-    def reader(p):
-        return scene_from_dict(json.loads(Path(p).read_text()))
-
-    return _load(path, reader)
+def _load_json(path, parse):
+    """Parse a JSON file's document, prefixing any failure with the file."""
+    return _load(path, lambda p: parse(json.loads(Path(p).read_text())))
 
 
 def _write_json(path, payload: dict):
@@ -124,16 +115,15 @@ def _segmentation_config(args) -> SegmentationConfig:
     )
 
 
-def _motions_to_json(motions) -> list:
-    return [{"R": m.rotation.tolist(), "t": m.translation.tolist()} for m in motions]
-
-
 def cmd_synth(args) -> int:
-    spec = _load_scene(args.scene)
+    spec = _load_json(args.scene, scene_from_dict)
     path = _load(args.path, load_path)
     if args.seed is not None:
         spec.seed = args.seed
-    gt = generate_scene(spec, path)
+    try:
+        gt = generate_scene(spec, path)
+    except ValueError as exc:
+        raise DataError(f"{args.scene}: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -158,7 +148,7 @@ def cmd_synth(args) -> int:
 
 
 def _assemble(args):
-    k = _load_intrinsics(args.intrinsics)
+    k = _load_json(args.intrinsics, Intrinsics.from_dict)
     tracks = _load(args.tracks, read_tracks)
     depths = [_load(f, read_depth) for f in _depth_files(args.depth_dir)]
     if len(depths) != tracks.num_frames:
@@ -203,7 +193,7 @@ def cmd_segment(args) -> int:
             "status": result.status,
             "iterations": result.iterations_used,
             "eps_max_trace": list(result.eps_max_trace),
-            "motions": _motions_to_json(result.motions),
+            "motions": [motion_to_dict(m) for m in result.motions],
             "static_fraction": result.partition.static_fraction,
             "diagnostics": result.diagnostics,
             "parameters": _segmentation_parameters(args),
@@ -239,7 +229,7 @@ def cmd_signal_from_path(args) -> int:
         raise DataError(
             f"--motion-strength must be finite and non-negative, got {args.motion_strength}"
         )
-    k = _load_intrinsics(args.intrinsics)
+    k = _load_json(args.intrinsics, Intrinsics.from_dict)
     depth0 = _load(args.depth, read_depth)
     path = _load(args.path, load_path)
     try:
@@ -259,7 +249,7 @@ def cmd_path(args) -> int:
 
 
 def cmd_preview(args) -> int:
-    k = _load_intrinsics(args.intrinsics)
+    k = _load_json(args.intrinsics, Intrinsics.from_dict)
     rgb = _load(args.rgb, read_ppm)
     depth = _load(args.depth, read_depth)
     path = _load(args.path, load_path)
@@ -403,10 +393,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

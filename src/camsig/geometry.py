@@ -2,20 +2,24 @@
 
 It owns the package's one rigid transport (`apply`), pinhole model with
 camera-front test (`pinhole`) and image-footprint test (`in_image`); only
-the rigid fit projects on its own, to reuse x/z in its Jacobian.
+the rigid fit projects on its own, to reuse x/z in its Jacobian. It also
+owns the typed JSON reader (`json_object`, `json_list`, `json_number`) that
+every JSON input format is parsed with.
 
 Conventions used throughout the package:
   - camera axes: x right, y down, z forward (optical axis)
   - pixel axes: u rightward, v downward; integer coordinates are pixel centers
   - rotation matrices are 3x3 row-major and act on column vectors (R @ p)
   - points are float arrays of shape (..., 3), pixels of shape (..., 2);
-    apply and pinhole compute them column by column and return views of
-    coordinate-major (3, ...) or (2, ...) buffers
+    apply, pinhole and unproject compute them column by column and return
+    views of coordinate-major (3, ...) or (2, ...) buffers
 """
 
 from __future__ import annotations
 
+import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,68 @@ Z_MIN = 1e-6
 _SMALL_ANGLE = 1e-4
 
 _INTRINSICS_KEYS = ("fx", "fy", "cx", "cy", "width", "height")
+
+
+def _got(value) -> str:
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def json_object(doc, what: str, required, optional=()) -> dict:
+    """Check that a JSON value is an object with exactly the allowed keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what}: expected an object, got {_got(doc)}")
+    unknown = sorted(set(doc) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    missing = sorted(set(required) - set(doc))
+    if missing:
+        raise ValueError(f"missing {what} keys: {missing}")
+    return doc
+
+
+def json_list(doc: dict, key: str, default=None) -> list:
+    """The list doc[key], or `default` if the key is absent."""
+    if key not in doc:
+        return default
+    if not isinstance(doc[key], list):
+        raise ValueError(f"{key}: expected a list, got {_got(doc[key])}")
+    return doc[key]
+
+
+def _has_shape(value, shape) -> bool:
+    if not shape:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == shape[0]
+        and all(_has_shape(v, shape[1:]) for v in value)
+    )
+
+
+def json_number(doc: dict, key: str, shape=(), integer=False, default=None):
+    """Read doc[key] as a number, or as nested lists of numbers of one shape.
+
+    JSON null and booleans are not numbers; ragged arrays are rejected. A
+    float field gives a float (array); an integer field must be integral
+    (16.0 reads as 16, 2.5 is rejected) and gives an int (a flat list of
+    ints). Non-finite floats pass, for the caller's range checks to name.
+    An absent key gives `default`; json_object checks the required keys.
+    """
+    if key not in doc:
+        return default
+    value = doc[key]
+    try:
+        a = np.array(value, dtype=float) if _has_shape(value, shape) else None
+    except OverflowError:  # a JSON integer beyond the float range
+        a = None
+    if a is not None and not integer:
+        return a if shape else float(a)
+    if a is not None and np.isfinite(a).all() and (a == np.round(a)).all():
+        return [int(x) for x in a.flat] if shape else int(a)
+    one, many = ("an integer", "integers") if integer else ("a number", "numbers")
+    expected = f"{'x'.join(map(str, shape))} {many}" if shape else one
+    raise ValueError(f"{key}: expected {expected}, got {_got(value)}")
 
 
 @dataclass(frozen=True)
@@ -53,33 +119,14 @@ class Intrinsics:
     @classmethod
     def from_dict(cls, d: dict) -> "Intrinsics":
         """Parse the canonical JSON object; unknown keys are rejected."""
-        unknown = sorted(set(d) - set(_INTRINSICS_KEYS))
-        if unknown:
-            raise ValueError(f"unknown intrinsics keys: {unknown}")
-        missing = sorted(set(_INTRINSICS_KEYS) - set(d))
-        if missing:
-            raise ValueError(f"missing intrinsics keys: {missing}")
-        for dim in ("width", "height"):
-            if d[dim] != int(d[dim]):
-                raise ValueError(f"{dim} must be an integer")
-        return cls(
-            fx=float(d["fx"]),
-            fy=float(d["fy"]),
-            cx=float(d["cx"]),
-            cy=float(d["cy"]),
-            width=int(d["width"]),
-            height=int(d["height"]),
-        )
+        json_object(d, "intrinsics", _INTRINSICS_KEYS)
+        return cls(**{
+            key: json_number(d, key, integer=key in ("width", "height"))
+            for key in _INTRINSICS_KEYS
+        })
 
     def to_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-        }
+        return {key: getattr(self, key) for key in _INTRINSICS_KEYS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,11 +268,11 @@ def unproject(px, depth, k: Intrinsics) -> np.ndarray:
     d = np.asarray(depth, dtype=float)
     if np.any(d <= 0.0):
         raise ValueError("non-positive depth")
-    out = np.empty(uv.shape[:-1] + (3,))
-    out[..., 0] = (uv[..., 0] - k.cx) / k.fx * d
-    out[..., 1] = (uv[..., 1] - k.cy) / k.fy * d
-    out[..., 2] = d
-    return out
+    cols = np.empty((3,) + uv.shape[:-1])
+    cols[0] = (uv[..., 0] - k.cx) / k.fx * d
+    cols[1] = (uv[..., 1] - k.cy) / k.fy * d
+    cols[2] = d
+    return np.moveaxis(cols, 0, -1)
 
 
 def apply(m: RigidMotion, points) -> np.ndarray:

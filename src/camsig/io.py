@@ -19,6 +19,7 @@ order.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,15 +68,17 @@ class Tracks:
         return self.uv.shape[1]
 
 
-def _read_bytes(file) -> bytes:
-    return Path(file).read_bytes()
-
-
-def _check_magic(data: bytes, magic: bytes):
-    if len(data) < 4:
-        raise FormatError(f"truncated at byte {len(data)}")
-    if data[:4] != magic:
+def _read_binary(file, magic: bytes, header: str, body_size) -> tuple:
+    """Header fields and body of a magic-tagged file; body_size(*fields) is exact."""
+    data = Path(file).read_bytes()
+    start = len(magic) + struct.calcsize(header)
+    if len(data) >= len(magic) and data[: len(magic)] != magic:
         raise FormatError("unrecognized format")
+    if len(data) < start:
+        raise FormatError(f"truncated at byte {len(data)}")
+    fields = struct.unpack_from(header, data, len(magic))
+    _check_size(data, start + body_size(*fields))
+    return fields, memoryview(data)[start:]
 
 
 def _check_size(data: bytes, expected: int):
@@ -96,13 +99,8 @@ def write_depth(file, depth: np.ndarray) -> None:
 
 def read_depth(file) -> np.ndarray:
     """Read a depth map as float64; zero entries are hole sentinels."""
-    data = _read_bytes(file)
-    _check_magic(data, MAGIC_DEPTH)
-    if len(data) < 12:
-        raise FormatError(f"truncated at byte {len(data)}")
-    w, h = struct.unpack_from("<II", data, 4)
-    _check_size(data, 12 + 4 * w * h)
-    values = np.frombuffer(data, dtype="<f4", count=w * h, offset=12)
+    (w, h), body = _read_binary(file, MAGIC_DEPTH, "<II", lambda w, h: 4 * w * h)
+    values = np.frombuffer(body, dtype="<f4")
     if not np.isfinite(values).all():
         i = int(np.flatnonzero(~np.isfinite(values))[0])
         raise FormatError(f"invalid depth value at sample {i}")
@@ -122,13 +120,10 @@ def write_tracks(file, tracks: Tracks) -> None:
 
 
 def read_tracks(file) -> Tracks:
-    data = _read_bytes(file)
-    _check_magic(data, MAGIC_TRACKS)
-    if len(data) < 12:
-        raise FormatError(f"truncated at byte {len(data)}")
-    t, n = struct.unpack_from("<II", data, 4)
-    _check_size(data, 12 + _TRACK_RECORD.itemsize * t * n)
-    records = np.frombuffer(data, dtype=_TRACK_RECORD, count=t * n, offset=12)
+    (t, n), body = _read_binary(
+        file, MAGIC_TRACKS, "<II", lambda t, n: _TRACK_RECORD.itemsize * t * n
+    )
+    records = np.frombuffer(body, dtype=_TRACK_RECORD)
     vis_bytes = records["visible"]
     bad = (vis_bytes > 1).nonzero()[0]
     if bad.size:
@@ -152,15 +147,12 @@ def write_tensor(file, ct: ControlTensor) -> None:
 
 
 def read_tensor(file) -> ControlTensor:
-    data = _read_bytes(file)
-    _check_magic(data, MAGIC_TENSOR)
-    if len(data) < 20:
-        raise FormatError(f"truncated at byte {len(data)}")
-    t, c, h, w = struct.unpack_from("<IIII", data, 4)
+    (t, c, h, w), body = _read_binary(
+        file, MAGIC_TENSOR, "<IIII", lambda t, c, h, w: 4 * t * c * h * w + h * w
+    )
     count = t * c * h * w
-    _check_size(data, 20 + 4 * count + h * w)
-    values = np.frombuffer(data, dtype="<f4", count=count, offset=20)
-    mask = np.frombuffer(data, dtype="u1", count=h * w, offset=20 + 4 * count)
+    values = np.frombuffer(body, dtype="<f4", count=count)
+    mask = np.frombuffer(body, dtype="u1", offset=4 * count)
     bad = (mask > 1).nonzero()[0]
     if bad.size:
         raise FormatError(f"invalid validity byte at pixel {int(bad[0])}")
@@ -170,7 +162,7 @@ def read_tensor(file) -> ControlTensor:
 
 
 def _read_pnm(file, magic: bytes, channels: int) -> np.ndarray:
-    data = _read_bytes(file)
+    data = Path(file).read_bytes()
     if len(data) < 2:
         raise FormatError(f"truncated at byte {len(data)}")
     if data[:2] != magic:
@@ -243,7 +235,6 @@ def write_correspondences(file, pairs) -> None:
 def read_correspondences(file):
     """Parse correspondence text into one (src, dst) array pair per index."""
     pairs: list[tuple[list, list]] = []
-    last = -1
     for ln, line in enumerate(Path(file).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -255,11 +246,12 @@ def read_correspondences(file):
             su, sv, du, dv = (float(tok) for tok in tokens[1:])
         except ValueError:
             raise FormatError(f"line {ln}: invalid number") from None
-        if idx == last + 1:
+        if not all(math.isfinite(x) for x in (su, sv, du, dv)):
+            raise FormatError(f"line {ln}: non-finite coordinate")
+        if idx == len(pairs):
             pairs.append(([], []))
-            last = idx
-        elif idx != last:
-            raise FormatError(f"line {ln}: pair indices must be ordered and contiguous")
+        elif not 0 <= idx == len(pairs) - 1:
+            raise FormatError(f"line {ln}: pair indices must start at 0, ordered and contiguous")
         pairs[idx][0].append((su, sv))
         pairs[idx][1].append((du, dv))
     return [(np.array(src), np.array(dst)) for src, dst in pairs]
@@ -300,7 +292,7 @@ def _bilinear_depth(img: np.ndarray, u: np.ndarray, v: np.ndarray):
 def _infer_grid(uv0: np.ndarray, k: Intrinsics) -> tuple[int, int]:
     """Recover (H, W) from row-major frame-0 grid positions."""
     n = uv0.shape[0]
-    off_row = np.flatnonzero(np.abs(uv0[:, 1] - uv0[0, 1]) > 0.25)
+    off_row = np.flatnonzero(np.abs(uv0[:, 1] - uv0[:1, 1]) > 0.25)  # n == 0 gives gw = 0
     gw = int(off_row[0]) if off_row.size else n
     if gw < 1 or n % gw != 0:
         raise ValueError("frame-0 tracks do not form a row-major grid")

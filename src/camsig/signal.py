@@ -91,11 +91,10 @@ class ControlTensor:
 def _transport_channels(p0, motions, k: Intrinsics, grid_h, grid_w) -> TrajectoryChannels:
     """Project rigid transports of the frame-0 points for every frame."""
     t = len(motions)
-    cols = np.ascontiguousarray(p0.T)  # one contiguous column per coordinate
     channels = np.empty((t, 2, p0.shape[0]))
     valid = np.empty((t, p0.shape[0]), dtype=bool)
     for lam, m in enumerate(motions):
-        uv, front = pinhole(apply(m, cols.T), k)
+        uv, front = pinhole(apply(m, p0), k)
         ok = front & in_image(uv, k)
         channels[lam] = uv.T
         # Out-of-frustum entries hold the last valid value; frame 0 keeps

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from camsig.campath import CameraPath
-from camsig.geometry import Intrinsics, RigidMotion, apply, pinhole, unproject
+from camsig.campath import CameraPath, motion_from_dict, motion_to_dict
+from camsig.geometry import Intrinsics, apply, pinhole, unproject
+from camsig.geometry import json_list, json_number, json_object
 from camsig.trajfield import PixelPartition, TrajectoryField, grid_sample_uv
 
 
@@ -194,57 +195,36 @@ def generate_scene(spec: SceneSpec, path: CameraPath) -> GroundTruth:
     )
 
 
+def _object_from_dict(doc) -> DynamicObject:
+    json_object(doc, "object", ("center", "radius"), ("velocity", "motions"))
+    motions = None
+    if "motions" in doc:
+        motions = [motion_from_dict(m, lam) for lam, m in enumerate(json_list(doc, "motions"))]
+    return DynamicObject(
+        center=tuple(json_number(doc, "center", (2,)).tolist()),
+        radius=json_number(doc, "radius"),
+        velocity=json_number(doc, "velocity", (3,)),
+        motions=motions,
+    )
+
+
 def scene_from_dict(doc: dict) -> SceneSpec:
     """Parse the scene JSON used by the command-line interface."""
-    known = {
-        "frames",
-        "grid",
-        "intrinsics",
-        "depth_range",
-        "depth_jitter",
-        "objects",
-        "track_noise",
-        "seed",
-    }
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ValueError(f"unknown scene keys: {unknown}")
-    for key in ("frames", "grid", "intrinsics", "depth_range"):
-        if key not in doc:
-            raise ValueError(f"missing scene key: {key}")
-    objects = []
-    for entry in doc.get("objects", []):
-        obj_known = {"center", "radius", "velocity", "motions"}
-        bad = sorted(set(entry) - obj_known)
-        if bad:
-            raise ValueError(f"unknown object keys: {bad}")
-        motions = None
-        if "motions" in entry:
-            motions = [
-                RigidMotion(np.asarray(m["R"], dtype=float), np.asarray(m["t"], dtype=float))
-                for m in entry["motions"]
-            ]
-        objects.append(
-            DynamicObject(
-                center=tuple(entry["center"]),
-                radius=float(entry["radius"]),
-                velocity=entry.get("velocity"),
-                motions=motions,
-            )
-        )
-    grid_h, grid_w = int(doc["grid"][0]), int(doc["grid"][1])
-    z_near, z_far = float(doc["depth_range"][0]), float(doc["depth_range"][1])
+    required = ("frames", "grid", "intrinsics", "depth_range")
+    json_object(doc, "scene", required, ("depth_jitter", "objects", "track_noise", "seed"))
+    grid_h, grid_w = json_number(doc, "grid", (2,), integer=True)
+    z_near, z_far = json_number(doc, "depth_range", (2,)).tolist()
     return SceneSpec(
-        frames=int(doc["frames"]),
+        frames=json_number(doc, "frames", integer=True),
         grid_h=grid_h,
         grid_w=grid_w,
         intrinsics=Intrinsics.from_dict(doc["intrinsics"]),
         z_near=z_near,
         z_far=z_far,
-        depth_jitter=float(doc.get("depth_jitter", 0.0)),
-        objects=objects,
-        track_noise=float(doc.get("track_noise", 0.0)),
-        seed=int(doc.get("seed", 0)),
+        depth_jitter=json_number(doc, "depth_jitter", default=0.0),
+        objects=[_object_from_dict(entry) for entry in json_list(doc, "objects", default=[])],
+        track_noise=json_number(doc, "track_noise", default=0.0),
+        seed=json_number(doc, "seed", integer=True, default=0),
     )
 
 
@@ -255,9 +235,7 @@ def scene_to_dict(spec: SceneSpec) -> dict:
         if obj.velocity is not None:
             entry["velocity"] = obj.velocity.tolist()
         else:
-            entry["motions"] = [
-                {"R": m.rotation.tolist(), "t": m.translation.tolist()} for m in obj.motions
-            ]
+            entry["motions"] = [motion_to_dict(m) for m in obj.motions]
         objects.append(entry)
     return {
         "frames": spec.frames,

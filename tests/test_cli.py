@@ -382,3 +382,131 @@ def test_infinite_focal_length_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {k_file}: focal lengths must be finite and positive")
     assert not (tmp_path / "t.tcs").exists()
+
+
+def set_fields(**fields):
+    return lambda doc: doc.update(fields)
+
+
+def object_with_motion(frame1, frames=5):
+    motions = [IDENTITY_FRAME] * frames
+    motions[1] = frame1
+    return {"center": [15.5, 15.5], "radius": 5.0, "motions": motions}
+
+
+RAGGED_R = [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]
+SCALED_R = [[1.01, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "target, edit, fragment",
+    [
+        pytest.param("intrinsics", set_fields(width=None), "width: expected an integer, got null", id="intrinsics-width-null"),
+        pytest.param("intrinsics", set_fields(fx=[1]), "fx: expected a number, got [1]", id="intrinsics-fx-list"),
+        pytest.param("intrinsics", set_fields(fx=True), "fx: expected a number, got true", id="intrinsics-fx-bool"),
+        pytest.param("scene", set_fields(grid=8), "grid: expected 2 integers, got 8", id="scene-grid-number"),
+        pytest.param("scene", set_fields(grid=[None, 8]), "grid: expected 2 integers", id="scene-grid-null"),
+        pytest.param("scene", set_fields(intrinsics=5), "intrinsics: expected an object, got 5", id="scene-intrinsics-number"),
+        pytest.param("scene", set_fields(objects=3), "objects: expected a list, got 3", id="scene-objects-number"),
+        pytest.param("scene", set_fields(depth_range=[2]), "depth_range: expected 2 numbers", id="scene-depth-range-short"),
+        pytest.param("scene", set_fields(frames=2.5), "frames: expected an integer, got 2.5", id="scene-frames-fraction"),
+        pytest.param(
+            "scene",
+            set_fields(objects=[{"center": [15.5, 15.5], "velocity": [0.0, 0.05, 0.0]}]),
+            "missing object keys: ['radius']",
+            id="object-without-radius",
+        ),
+        pytest.param(
+            "scene",
+            set_fields(objects=[object_with_motion({"R": np.eye(3).tolist()})]),
+            "frame 1: missing motion keys: ['t']",
+            id="object-motion-without-t",
+        ),
+        pytest.param(
+            "scene",
+            set_fields(objects=[object_with_motion({"R": SCALED_R, "t": [0.0, 0.0, 0.0]})]),
+            "invalid rotation at frame 1",
+            id="object-motion-not-rotation",
+        ),
+        pytest.param(
+            "path",
+            lambda doc: doc["frames"][1].update(R=RAGGED_R),
+            "frame 1: R: expected 3x3 numbers",
+            id="path-ragged-R",
+        ),
+    ],
+)
+def test_malformed_json_field_is_data_error(tmp_path, capsys, target, edit, fragment):
+    path_file = tmp_path / "p.json"
+    write_zoom_roll_path(path_file)
+    if target == "scene":
+        file = tmp_path / "scene.json"
+        write_scene(file)
+        out = tmp_path / "synth"
+        argv = ["synth", "--scene", str(file), "--path", str(path_file), "--out", str(out)]
+    else:
+        argv = signal_from_path_argv(tmp_path, path_file)
+        file = path_file if target == "path" else tmp_path / "k.json"
+        out = tmp_path / "t.tcs"
+    doc = json.loads(file.read_text())
+    edit(doc)
+    file.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {file}: ") and fragment in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "frames, objects, message",
+    [
+        (6, [], "path length does not match scene frame count"),
+        (5, [{"center": [40.0, 15.5], "radius": 3.0, "velocity": [0.0, 0.0, 0.0]}], "object not visible in frame 0"),
+        (5, [object_with_motion(IDENTITY_FRAME, frames=3)], "object motion count does not match frame count"),
+    ],
+    ids=["path-length", "object-outside-image", "object-motion-count"],
+)
+def test_synth_scene_errors_name_the_scene_file(tmp_path, capsys, frames, objects, message):
+    scene = tmp_path / "scene.json"
+    path = tmp_path / "path.json"
+    out = tmp_path / "synth"
+    write_scene(scene, frames=frames, objects=objects)
+    write_zoom_roll_path(path)
+    assert main(["synth", "--scene", str(scene), "--path", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {scene}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("-1 1 2 3 4\n", "line 1: pair indices must start at 0"),
+        ("0 1 2 3 4\n0 nan 2 3 4\n", "line 2: non-finite coordinate"),
+        ("0 1 2 3 4\n1 1 2 -inf 4\n", "line 2: non-finite coordinate"),
+    ],
+    ids=["negative-first-index", "nan", "inf"],
+)
+def test_eval_bad_correspondences_is_data_error(tmp_path, capsys, text, message):
+    path_file = tmp_path / "p.json"
+    write_zoom_roll_path(path_file)
+    corr = tmp_path / "c.txt"
+    corr.write_text(text)
+    out = tmp_path / "report.json"
+    argv = ["eval", "--gt", str(path_file), "--est", str(path_file), "--corr", str(corr), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {corr}: {message}")
+    assert not out.exists()
+
+
+def test_segment_tracks_without_points_is_data_error(tmp_path, capsys):
+    out = run_synth(tmp_path)
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    tracks = tmp_path / "empty.tct"
+    tracks.write_bytes(b"TCT1" + (5).to_bytes(4, "little") + (0).to_bytes(4, "little"))
+    seg = tmp_path / "seg"
+    argv = ["segment", "--tracks", str(tracks), "--depth-dir", str(out), "--intrinsics", str(k_file), "--out", str(seg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tracks}: ")
+    assert not seg.exists()

@@ -11,6 +11,9 @@ from camsig.geometry import (
     geodesic_angle,
     in_image,
     is_rotation,
+    json_list,
+    json_number,
+    json_object,
     pinhole,
     project,
     so3_exp,
@@ -228,6 +231,57 @@ class TestIntrinsics:
         d = {"fx": 64.0, "fy": float("inf"), "cx": 31.5, "cy": 31.5, "width": 64, "height": 64}
         with pytest.raises(ValueError, match="finite and positive"):
             Intrinsics.from_dict(d)
+
+
+class TestJsonReader:
+    def test_integral_values_read_as_ints(self):
+        assert json_number({"n": 16.0}, "n", integer=True) == 16
+        assert type(json_number({"n": 16.0}, "n", integer=True)) is int
+        assert json_number({"g": [4.0, 8]}, "g", (2,), integer=True) == [4, 8]
+        assert type(json_number({"x": 3}, "x")) is float
+
+    @pytest.mark.parametrize("value", [None, True, "16", [16], 2.5, float("nan"), float("inf"), 10**400])
+    def test_integer_field_rejects(self, value):
+        with pytest.raises(ValueError, match="^n: expected an integer, got "):
+            json_number({"n": value}, "n", integer=True)
+
+    @pytest.mark.parametrize(
+        "value", [None, False, 3.0, [1.0], [1.0, None], [1.0, [2.0]], [[1.0], [2.0]], {"a": 1}, [1.0, 10**400]]
+    )
+    def test_array_field_rejects(self, value):
+        with pytest.raises(ValueError, match="^v: expected 2 numbers, got "):
+            json_number({"v": value}, "v", (2,))
+
+    def test_matrix_field_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match="^R: expected 3x3 numbers, got "):
+            json_number({"R": [[1, 0, 0], [0, 1], [0, 0, 1]]}, "R", (3, 3))
+        assert np.array_equal(json_number({"R": np.eye(3).tolist()}, "R", (3, 3)), np.eye(3))
+
+    def test_non_finite_floats_pass_through(self):
+        assert np.isnan(json_number({"x": float("nan")}, "x"))
+        assert json_number({"x": [float("inf"), 1.0]}, "x", (2,))[0] == np.inf
+
+    def test_default_only_for_absent_keys(self):
+        assert json_number({}, "x", default=0.5) == 0.5
+        assert json_list({}, "xs", default=[]) == []
+        with pytest.raises(ValueError, match="^x: expected a number, got null"):
+            json_number({"x": None}, "x", default=0.5)
+        with pytest.raises(ValueError, match="^xs: expected a list, got 3"):
+            json_list({"xs": 3}, "xs", default=[])
+
+    def test_object_keys(self):
+        assert json_object({"a": 1, "b": 2}, "thing", ("a",), ("b", "c")) == {"a": 1, "b": 2}
+        with pytest.raises(ValueError, match=r"^thing: expected an object, got \[1, 2\]"):
+            json_object([1, 2], "thing", ("a",))
+        with pytest.raises(ValueError, match=r"^unknown thing keys: \['z'\]"):
+            json_object({"a": 1, "z": 0}, "thing", ("a",))
+        with pytest.raises(ValueError, match=r"^missing thing keys: \['a'\]"):
+            json_object({"b": 1}, "thing", ("a",), ("b",))
+
+    def test_long_values_are_shortened_in_messages(self):
+        with pytest.raises(ValueError) as info:
+            json_number({"x": list(range(1000))}, "x")
+        assert len(str(info.value)) < 100 and str(info.value).endswith("...")
 
 
 def reference_apply(m, points):

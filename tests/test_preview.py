@@ -168,7 +168,7 @@ def test_render_matches_einsum_transport_and_sort_oracle(threads):
     colors = frame0.rgb.reshape(-1, 3)
     got = render_preview(frame0, path, threads=threads)
     for lam, m in enumerate(path.motions):
-        q = np.einsum("ij,nj->ni", m.rotation, p0) + m.translation
+        q = np.einsum("ij,nj->ni", m.rotation, np.ascontiguousarray(p0)) + m.translation
         image, coverage = reference_splat(q, colors, k)
         image[~coverage] = BACKGROUND
         assert np.array_equal(got.frames[lam], image)

@@ -130,6 +130,27 @@ def test_scene_dict_roundtrip():
     assert scene_to_dict(back) == doc
 
 
+def test_scene_dict_roundtrip_with_object_motions():
+    spec = static_scene(frames=3)
+    motions = [RigidMotion.identity(), RigidMotion(np.eye(3), np.array([0.01, 0.0, 0.0]))]
+    motions.append(RigidMotion(generate_primitive(PrimitiveSpec("rot_cw", 0.1, 3))[2].rotation, np.zeros(3)))
+    spec.objects = [DynamicObject(center=(15.5, 15.5), radius=5.0, motions=motions)]
+    doc = scene_to_dict(spec)
+    back = scene_from_dict(doc)
+    assert scene_to_dict(back) == doc
+    assert all(np.array_equal(a.rotation, b.rotation) for a, b in zip(motions, back.objects[0].motions))
+
+
+def test_scene_dict_integer_fields():
+    doc = scene_to_dict(static_scene())
+    spec = scene_from_dict({**doc, "frames": 6.0, "grid": [32.0, 32], "seed": 4.0})
+    assert (spec.frames, spec.grid_h, spec.grid_w, spec.seed) == (6, 32, 32, 4)
+    assert scene_to_dict(spec) == doc
+    for key, value in [("seed", 1.5), ("frames", 2.5), ("seed", True), ("frames", None)]:
+        with pytest.raises(ValueError, match=f"^{key}: expected an integer"):
+            scene_from_dict({**doc, key: value})
+
+
 def test_scene_dict_rejects_unknown_keys():
     doc = scene_to_dict(static_scene())
     doc["fps"] = 30

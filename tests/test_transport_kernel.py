@@ -19,9 +19,11 @@ from util import K32, grid_points, rng, smooth_motions
 
 
 def reference_transport(p0, motions):
+    # einsum sums a contiguous (x, y, z) triple in another order than a
+    # strided one; the recorded outputs were made from row-major points.
     rot = np.stack([m.rotation for m in motions])
     tr = np.stack([m.translation for m in motions])
-    return np.einsum("tij,nj->tni", rot, p0) + tr[:, None, :]
+    return np.einsum("tij,nj->tni", rot, np.ascontiguousarray(p0)) + tr[:, None, :]
 
 
 def reference_transport_channels(p0, motions, k, grid_h, grid_w):
