@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from camsig.geometry import RigidMotion, compose, is_rotation, so3_exp
-from camsig.geometry import json_list, json_number, json_object
+from camsig.geometry import json_list, json_number, json_object, read_json
 
 PRIMITIVE_KINDS = (
     "pan_left",
@@ -133,6 +133,6 @@ def save_path(path: CameraPath, file) -> None:
 
 def load_path(file) -> CameraPath:
     """Read a path JSON, validating rotations and the frame-0 identity."""
-    doc = json_object(json.loads(Path(file).read_text()), "path", ("frames",))
+    doc = json_object(read_json(file), "path", ("frames",))
     frames = json_list(doc, "frames")
     return CameraPath([motion_from_dict(m, lam) for lam, m in enumerate(frames)])

@@ -8,6 +8,7 @@ without --allow-degenerate).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -27,7 +28,8 @@ from camsig.campath import (
     motion_to_dict,
     save_path,
 )
-from camsig.geometry import Intrinsics, in_image, project
+from camsig.geometry import Intrinsics, check_depth_size, check_first_depth, in_image, project
+from camsig.geometry import read_json
 from camsig.io import (
     Tracks,
     assemble_field,
@@ -73,17 +75,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load(path, reader):
-    """Run a reader, prefixing any failure with the offending file."""
+@contextlib.contextmanager
+def _blame(file):
+    """Re-raise a data failure inside the block as a DataError naming the file."""
     try:
-        return reader(path)
+        yield
     except (ValueError, OSError) as exc:  # a FormatError is a ValueError
-        raise DataError(f"{path}: {exc}") from exc
+        raise DataError(f"{file}: {exc}") from exc
 
 
-def _load_json(path, parse):
-    """Parse a JSON file's document, prefixing any failure with the file."""
-    return _load(path, lambda p: parse(json.loads(Path(p).read_text())))
+def _load(file, reader):
+    with _blame(file):
+        return reader(file)
+
+
+def _read_intrinsics(file) -> Intrinsics:
+    return Intrinsics.from_dict(read_json(file))
 
 
 def _write_json(path, payload: dict):
@@ -107,23 +114,13 @@ def _depth_files(depth_dir) -> list:
     return files
 
 
-def _segmentation_config(args) -> SegmentationConfig:
-    return SegmentationConfig(
-        epsilon=args.epsilon,
-        alpha=args.alpha,
-        max_iterations=args.max_iters,
-    )
-
-
 def cmd_synth(args) -> int:
-    spec = _load_json(args.scene, scene_from_dict)
     path = _load(args.path, load_path)
-    if args.seed is not None:
-        spec.seed = args.seed
-    try:
+    with _blame(args.scene):
+        spec = scene_from_dict(read_json(args.scene))
+        if args.seed is not None:
+            spec.seed = args.seed
         gt = generate_scene(spec, path)
-    except ValueError as exc:
-        raise DataError(f"{args.scene}: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -147,18 +144,23 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _assemble(args):
-    k = _load_json(args.intrinsics, Intrinsics.from_dict)
+def _extract(args):
+    """Assemble the trajectory field and extract its static region."""
+    config = SegmentationConfig(  # built first: its errors name a flag, not a file
+        epsilon=args.epsilon, alpha=args.alpha, max_iterations=args.max_iters
+    )
+    k = _load(args.intrinsics, _read_intrinsics)
     tracks = _load(args.tracks, read_tracks)
-    depths = [_load(f, read_depth) for f in _depth_files(args.depth_dir)]
+    depths = [
+        _load(f, lambda f: check_depth_size(read_depth(f), k)) for f in _depth_files(args.depth_dir)
+    ]
     if len(depths) != tracks.num_frames:
         raise DataError(
             f"{args.depth_dir}: {len(depths)} depth maps for {tracks.num_frames} track frames"
         )
-    try:
-        return assemble_field(depths, tracks, k), k
-    except ValueError as exc:
-        raise DataError(f"{args.tracks}: {exc}") from exc
+    with _blame(args.tracks):
+        field = assemble_field(depths, tracks, k)
+        return field, extract_static(field, config)
 
 
 def _segmentation_parameters(args) -> dict:
@@ -181,8 +183,7 @@ def _refuse_degenerate(args, result) -> bool:
 
 
 def cmd_segment(args) -> int:
-    field, _ = _assemble(args)
-    result = extract_static(field, _segmentation_config(args))
+    _, result = _extract(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_pgm(out / "mask.pgm", np.where(result.partition.static_mask, 255, 0).astype(np.uint8))
@@ -203,8 +204,7 @@ def cmd_segment(args) -> int:
 
 
 def cmd_signal_from_video(args) -> int:
-    field, _ = _assemble(args)
-    result = extract_static(field, _segmentation_config(args))
+    field, result = _extract(args)
     if _refuse_degenerate(args, result):
         return 3
     traj = point_trajectory(field, result.motions)
@@ -229,15 +229,13 @@ def cmd_signal_from_path(args) -> int:
         raise DataError(
             f"--motion-strength must be finite and non-negative, got {args.motion_strength}"
         )
-    k = _load_json(args.intrinsics, Intrinsics.from_dict)
-    depth0 = _load(args.depth, read_depth)
+    k = _load(args.intrinsics, _read_intrinsics)
+    depth0 = _load(args.depth, lambda f: check_first_depth(read_depth(f), k))
     path = _load(args.path, load_path)
-    try:
-        tensor = build_inference_signal(depth0, k, path, args.motion_strength)
-    except ValueError as exc:
-        raise DataError(f"{args.depth}: {exc}") from exc
+    tensor = build_inference_signal(depth0, k, path, args.motion_strength)
     if args.normalized:
-        tensor = normalize_tensor(tensor, k)
+        with _blame(args.intrinsics):
+            tensor = normalize_tensor(tensor, k)
     write_tensor(args.out, tensor)
     return 0
 
@@ -249,14 +247,11 @@ def cmd_path(args) -> int:
 
 
 def cmd_preview(args) -> int:
-    k = _load_json(args.intrinsics, Intrinsics.from_dict)
-    rgb = _load(args.rgb, read_ppm)
-    depth = _load(args.depth, read_depth)
+    k = _load(args.intrinsics, _read_intrinsics)
+    depth = _load(args.depth, lambda f: check_first_depth(read_depth(f), k))
     path = _load(args.path, load_path)
-    try:
-        frame0 = RgbdFrame(rgb, depth, k)
-    except ValueError as exc:
-        raise DataError(f"{args.rgb}: {exc}") from exc
+    with _blame(args.rgb):
+        frame0 = RgbdFrame(read_ppm(args.rgb), depth, k)
     rendered = render_preview(frame0, path, threads=args.resolved_threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -271,19 +266,14 @@ def cmd_preview(args) -> int:
 
 def cmd_eval(args) -> int:
     gt = _load(args.gt, load_path)
-    est = _load(args.est, load_path)
-    try:
+    with _blame(args.est):
+        est = load_path(args.est)
         rotation_error = rot_err(gt, est)
         translation_error = trans_err(gt, est)
-    except ValueError as exc:
-        raise DataError(f"{args.est}: {exc}") from exc
     msc_value = None
     if args.corr is not None:
-        pairs = _load(args.corr, read_correspondences)
-        try:
-            msc_value = msc(pairs)
-        except ValueError as exc:
-            raise DataError(f"{args.corr}: {exc}") from exc
+        with _blame(args.corr):
+            msc_value = msc(read_correspondences(args.corr))
     _write_json(
         args.out,
         {

@@ -3,8 +3,10 @@
 It owns the package's one rigid transport (`apply`), pinhole model with
 camera-front test (`pinhole`) and image-footprint test (`in_image`); only
 the rigid fit projects on its own, to reuse x/z in its Jacobian. It also
-owns the typed JSON reader (`json_object`, `json_list`, `json_number`) that
-every JSON input format is parsed with.
+owns the JSON file reader (`read_json`) and typed JSON reader
+(`json_object`, `json_list`, `json_number`) that every JSON input format is
+parsed with, and the depth-map checks against the intrinsics
+(`check_depth_size`, and `check_first_depth` for the first frame).
 
 Conventions used throughout the package:
   - camera axes: x right, y down, z forward (optical axis)
@@ -21,6 +23,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +41,14 @@ _INTRINSICS_KEYS = ("fx", "fy", "cx", "cy", "width", "height")
 def _got(value) -> str:
     text = json.dumps(value, default=repr)
     return text if len(text) <= 60 else text[:57] + "..."
+
+
+def read_json(file):
+    """Parse a JSON file; a malformed or too deeply nested document is a ValueError."""
+    try:
+        return json.loads(Path(file).read_text())
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
 
 
 def json_object(doc, what: str, required, optional=()) -> dict:
@@ -127,6 +138,28 @@ class Intrinsics:
 
     def to_dict(self) -> dict:
         return {key: getattr(self, key) for key in _INTRINSICS_KEYS}
+
+
+def check_depth_size(depth, k: Intrinsics) -> np.ndarray:
+    """A depth map as float64, checked to have the image size of k."""
+    d = np.asarray(depth, dtype=float)
+    if d.shape != (k.height, k.width):
+        raise ValueError("depth map dimensions do not match intrinsics")
+    return d
+
+
+def check_first_depth(depth, k: Intrinsics) -> np.ndarray:
+    """A first-frame depth map as float64: the image size of k, and no holes.
+
+    Every pixel is lifted to a point, so every depth must be finite and
+    positive; the first pixel that is not is named.
+    """
+    d = check_depth_size(depth, k)
+    bad = np.argwhere(~((d > 0.0) & np.isfinite(d)))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"depth must be finite and positive, got {d[i, j]} at pixel (row {i}, col {j})")
+    return d
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from camsig.geometry import Intrinsics, Z_MIN, unproject
+from camsig.geometry import Intrinsics, Z_MIN, check_depth_size, unproject
 from camsig.signal import ControlTensor
 from camsig.trajfield import TrajectoryField, grid_sample_uv
 
@@ -38,6 +39,11 @@ MAGIC_TRACKS = b"TCT1"
 MAGIC_TENSOR = b"TCS1"
 
 _TRACK_RECORD = np.dtype([("u", "<f4"), ("v", "<f4"), ("visible", "u1")])
+
+# PNM header after the magic: width, height and maxval as unsigned decimals,
+# each after whitespace or '#' comments, then one whitespace byte before
+# the raster.
+_PNM_HEADER = re.compile(rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 class FormatError(ValueError):
@@ -101,12 +107,9 @@ def read_depth(file) -> np.ndarray:
     """Read a depth map as float64; zero entries are hole sentinels."""
     (w, h), body = _read_binary(file, MAGIC_DEPTH, "<II", lambda w, h: 4 * w * h)
     values = np.frombuffer(body, dtype="<f4")
-    if not np.isfinite(values).all():
-        i = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise FormatError(f"invalid depth value at sample {i}")
-    if np.any(values < 0.0):
-        i = int(np.flatnonzero(values < 0.0)[0])
-        raise FormatError(f"invalid depth value at sample {i}")
+    ok = np.isfinite(values) & (values >= 0.0)
+    if not ok.all():
+        raise FormatError(f"invalid depth value at sample {int(np.argmin(ok))}")
     return values.astype(float).reshape(h, w)
 
 
@@ -150,6 +153,8 @@ def read_tensor(file) -> ControlTensor:
     (t, c, h, w), body = _read_binary(
         file, MAGIC_TENSOR, "<IIII", lambda t, c, h, w: 4 * t * c * h * w + h * w
     )
+    if c != 3:
+        raise FormatError(f"expected 3 channels, got {c}")
     count = t * c * h * w
     values = np.frombuffer(body, dtype="<f4", count=count)
     mask = np.frombuffer(body, dtype="u1", offset=4 * count)
@@ -167,32 +172,14 @@ def _read_pnm(file, magic: bytes, channels: int) -> np.ndarray:
         raise FormatError(f"truncated at byte {len(data)}")
     if data[:2] != magic:
         raise FormatError("unrecognized format")
-    # Header: three whitespace-separated integers, '#' comments allowed.
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError(f"truncated at byte {pos}")
-        try:
-            fields.append(int(data[start:pos]))
-        except ValueError:
-            raise FormatError(f"invalid header token at byte {start}") from None
-    w, h, maxval = fields
+    header = _PNM_HEADER.match(data, 2)
+    if header is None:
+        raise FormatError("malformed header: expected width, height and maxval as unsigned decimals")
+    w, h, maxval = (int(field) for field in header.groups())
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}")
-    pos += 1  # single whitespace byte separates header and raster
-    expected = pos + w * h * channels
-    _check_size(data, expected)
-    raster = np.frombuffer(data, dtype=np.uint8, count=w * h * channels, offset=pos)
+    _check_size(data, header.end() + w * h * channels)
+    raster = np.frombuffer(data, dtype=np.uint8, offset=header.end())
     if channels == 1:
         return raster.reshape(h, w).copy()
     return raster.reshape(h, w, channels).copy()
@@ -299,12 +286,7 @@ def _infer_grid(uv0: np.ndarray, k: Intrinsics) -> tuple[int, int]:
     return n // gw, gw
 
 
-def assemble_field(
-    depths: Sequence[np.ndarray],
-    tracks: Tracks,
-    k: Intrinsics,
-    grid_shape: tuple[int, int] | None = None,
-) -> TrajectoryField:
+def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) -> TrajectoryField:
     """Lift 2D tracks to per-frame camera coordinates with per-frame depth.
 
     Each visible track point is lifted at the bilinear depth sample of that
@@ -316,13 +298,11 @@ def assemble_field(
     t, n = tracks.num_frames, tracks.num_points
     if len(depths) != t:
         raise ValueError("frame count mismatch")
-    for lam, d in enumerate(depths):
-        if d.shape != (k.height, k.width):
-            raise ValueError(f"depth map {lam} does not match intrinsics dimensions")
+    depths = [check_depth_size(d, k) for d in depths]
     if not tracks.visible[0].all():
         raise ValueError("frame-0 track marked invisible")
 
-    gh, gw = grid_shape if grid_shape is not None else _infer_grid(tracks.uv[0], k)
+    gh, gw = _infer_grid(tracks.uv[0], k)
     if gh * gw != n:
         raise ValueError("track count does not match grid dimensions")
     expected = grid_sample_uv(gh, gw, k)
@@ -335,9 +315,7 @@ def assemble_field(
     for lam in range(t):
         tracked = tracks.visible[lam]
         uv = tracks.uv[lam][tracked]
-        depth, ok, clamped = _bilinear_depth(
-            np.asarray(depths[lam], dtype=float), uv[:, 0], uv[:, 1]
-        )
+        depth, ok, clamped = _bilinear_depth(depths[lam], uv[:, 0], uv[:, 1])
         total_clamped += clamped
         vis = np.zeros(n, dtype=bool)
         vis[tracked] = ok

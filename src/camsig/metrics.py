@@ -85,12 +85,18 @@ def msc(correspondences) -> float:
     if not correspondences:
         raise ValueError("no correspondence pairs")
     per_pair = []
-    for i, (src, dst) in enumerate(correspondences):
-        s = np.asarray(src, dtype=float).reshape(-1, 2)
-        d = np.asarray(dst, dtype=float).reshape(-1, 2)
-        if s.shape[0] < 2 or s.shape != d.shape:
-            raise ValueError(f"pair {i} needs at least two matched correspondences")
-        angle, translation = procrustes_2d(s, d)
-        residual = d - align_2d(s, angle, translation)
-        per_pair.append(float(np.linalg.norm(residual, axis=1).mean()))
-    return float(np.mean(per_pair))
+    # Coordinates near the float limit overflow in the alignment sums and
+    # the norms; the result then is not finite and is rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (src, dst) in enumerate(correspondences):
+            s = np.asarray(src, dtype=float).reshape(-1, 2)
+            d = np.asarray(dst, dtype=float).reshape(-1, 2)
+            if s.shape[0] < 2 or s.shape != d.shape:
+                raise ValueError(f"pair {i} needs at least two matched correspondences")
+            angle, translation = procrustes_2d(s, d)
+            residual = d - align_2d(s, angle, translation)
+            per_pair.append(float(np.linalg.norm(residual, axis=1).mean()))
+        value = float(np.mean(per_pair))
+    if not math.isfinite(value):
+        raise ValueError("coordinates too large for a finite residual")
+    return value

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from camsig.campath import CameraPath
-from camsig.geometry import Intrinsics, apply, pinhole, unproject
+from camsig.geometry import Intrinsics, apply, check_first_depth, pinhole, unproject
 from camsig.trajfield import grid_sample_uv
 
 BACKGROUND = np.array([128, 128, 128], dtype=np.uint8)
@@ -29,16 +29,11 @@ class RgbdFrame:
     intrinsics: Intrinsics
 
     def __post_init__(self):
+        k = self.intrinsics
         self.rgb = np.asarray(self.rgb, dtype=np.uint8)
-        self.depth = np.asarray(self.depth, dtype=float)
-        if self.rgb.ndim != 3 or self.rgb.shape[2] != 3:
-            raise ValueError("rgb must have shape (H, W, 3)")
-        if self.depth.shape != self.rgb.shape[:2]:
-            raise ValueError("depth dimensions do not match rgb")
-        if self.rgb.shape[0] != self.intrinsics.height or self.rgb.shape[1] != self.intrinsics.width:
-            raise ValueError("image dimensions do not match intrinsics")
-        if np.any(self.depth <= 0.0) or not np.isfinite(self.depth).all():
-            raise ValueError("depth must be positive and finite everywhere")
+        if self.rgb.shape != (k.height, k.width, 3):
+            raise ValueError("rgb image dimensions do not match intrinsics")
+        self.depth = check_first_depth(self.depth, k)
 
 
 @dataclass(eq=False)
@@ -105,10 +100,6 @@ def render_preview(frame0: RgbdFrame, path: CameraPath, threads: int = 1) -> Pre
         frames[lam] = image
         coverage[lam] = cov
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(render_one, range(t)))
-    else:
-        for lam in range(t):
-            render_one(lam)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(render_one, range(t)))
     return PreviewFrames(frames, coverage)

@@ -16,6 +16,7 @@ import numpy as np
 
 from camsig.campath import CameraPath
 from camsig.geometry import Intrinsics, RigidMotion, apply, in_image, pinhole, unproject
+from camsig.geometry import check_first_depth
 from camsig.trajfield import ResidualField, TrajectoryField, _check_motions, grid_sample_uv
 
 
@@ -162,21 +163,8 @@ def build_inference_signal(
     The point set is every pixel center of depth0 lifted at its depth; the
     user strength is applied uniformly to frames 1..T-1 with frame 0 zero.
     """
-    depth = np.asarray(depth0, dtype=float)
-    if depth.ndim != 2:
-        raise ValueError("depth map must be 2-D")
+    depth = check_first_depth(depth0, k)
     h, w = depth.shape
-    if (h, w) != (k.height, k.width):
-        raise ValueError("depth map dimensions do not match intrinsics")
-    bad = np.argwhere(~((depth > 0.0) & np.isfinite(depth)))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(
-            f"depth must be finite and positive, got {depth[i, j]} at pixel (row {i}, col {j})"
-        )
-    if not (np.isfinite(m_user) and m_user >= 0.0):
-        raise ValueError("motion strength must be finite and non-negative")
-
     uv = grid_sample_uv(h, w, k)
     p0 = unproject(uv, depth.ravel(), k)
     traj = _transport_channels(p0, path.motions, k, h, w)
@@ -186,7 +174,15 @@ def build_inference_signal(
 
 
 def normalize_tensor(ct: ControlTensor, k: Intrinsics) -> ControlTensor:
-    """Map the pixel-coordinate channels to [-1, 1]; presentation only."""
+    """Map the pixel-coordinate channels to [-1, 1]; presentation only.
+
+    The map 2·u / (W - 1) - 1 needs an image at least two pixels wide and
+    tall.
+    """
+    if k.width < 2 or k.height < 2:
+        raise ValueError(
+            f"normalized coordinates need an image at least 2x2, got {k.width}x{k.height}"
+        )
     data = ct.data.copy()
     data[:, 0] = 2.0 * data[:, 0] / (k.width - 1.0) - 1.0
     data[:, 1] = 2.0 * data[:, 1] / (k.height - 1.0) - 1.0

@@ -1,12 +1,24 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from camsig.campath import PrimitiveSpec, compose_paths, generate_primitive, load_path, save_path
 from camsig.cli import main
-from camsig.io import read_pgm, read_tensor, write_correspondences, write_depth
-from util import K32
+from camsig.geometry import Intrinsics
+from camsig.io import (
+    Tracks,
+    read_depth,
+    read_pgm,
+    read_tensor,
+    read_tracks,
+    write_correspondences,
+    write_depth,
+    write_tracks,
+)
+from camsig.signal import build_inference_signal
+from util import K32, rng
 
 
 def write_intrinsics(path, k=K32):
@@ -484,8 +496,9 @@ def test_synth_scene_errors_name_the_scene_file(tmp_path, capsys, frames, object
         ("-1 1 2 3 4\n", "line 1: pair indices must start at 0"),
         ("0 1 2 3 4\n0 nan 2 3 4\n", "line 2: non-finite coordinate"),
         ("0 1 2 3 4\n1 1 2 -inf 4\n", "line 2: non-finite coordinate"),
+        ("0 1e308 2 3 4\n0 6 1.5 6.5 2\n0 -1e308 7 3.5 7.5\n", "coordinates too large for a finite residual"),
     ],
-    ids=["negative-first-index", "nan", "inf"],
+    ids=["negative-first-index", "nan", "inf", "overflow"],
 )
 def test_eval_bad_correspondences_is_data_error(tmp_path, capsys, text, message):
     path_file = tmp_path / "p.json"
@@ -510,3 +523,142 @@ def test_segment_tracks_without_points_is_data_error(tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {tracks}: ")
     assert not seg.exists()
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def deep_json(tmp_path):
+    file = tmp_path / "deep.json"
+    file.write_text(DEEP_JSON)
+    return file
+
+
+def preview_argv(data, k_file, rgb=None, depth=None):
+    return [
+        "preview",
+        "--rgb", str(rgb or data / "rgb0.ppm"),
+        "--depth", str(depth or data / "depth_0000.tcd"),
+        "--intrinsics", str(k_file),
+        "--path", str(data / "path.json"),
+    ]
+
+
+def inference_argv(data, k_file, depth=None):
+    depth = depth or data / "depth_0000.tcd"
+    return ["signal-from-path", "--depth", str(depth), "--intrinsics", str(k_file),
+            "--path", str(data / "path.json"), "--motion-strength", "1"]
+
+
+def segment_argv(tracks, depth_dir, k_file):
+    return ["segment", "--tracks", str(tracks), "--depth-dir", str(depth_dir), "--intrinsics", str(k_file)]
+
+
+def deep_path(tmp_path, data, k_file):
+    deep = deep_json(tmp_path)
+    return ["eval", "--gt", str(deep), "--est", str(data / "path.json")], deep, "nested too deeply"
+
+
+def deep_intrinsics(tmp_path, data, k_file):
+    deep = deep_json(tmp_path)
+    return inference_argv(data, deep), deep, "nested too deeply"
+
+
+def deep_scene(tmp_path, data, k_file):
+    deep = deep_json(tmp_path)
+    return ["synth", "--scene", str(deep), "--path", str(data / "path.json")], deep, "nested too deeply"
+
+
+def preview_depth_hole(tmp_path, data, k_file):
+    depth = read_depth(data / "depth_0000.tcd")
+    depth[2, 3] = 0.0
+    hole = tmp_path / "hole.tcd"
+    write_depth(hole, depth)
+    return preview_argv(data, k_file, depth=hole), hole, "finite and positive, got 0.0 at pixel (row 2, col 3)"
+
+
+def segment_wrong_depth_size(tmp_path, data, k_file):
+    wrong = data / "depth_0001.tcd"
+    write_depth(wrong, np.full((K32.height, K32.width + 1), 4.0))
+    return segment_argv(data / "tracks.tct", data, k_file), wrong, "depth map dimensions"
+
+
+def segment_one_frame_tracks(tmp_path, data, k_file):
+    clip = tmp_path / "clip"
+    clip.mkdir()
+    shutil.copy(data / "depth_0000.tcd", clip)
+    tracks = read_tracks(data / "tracks.tct")
+    write_tracks(clip / "tracks.tct", Tracks(tracks.uv[:1], tracks.visible[:1]))
+    return segment_argv(clip / "tracks.tct", clip, k_file), clip / "tracks.tct", "at least two frames"
+
+
+def preview_negative_ppm_size(tmp_path, data, k_file):
+    rgb = tmp_path / "negative.ppm"
+    rgb.write_bytes(b"P6 -2 -2 255\n" + bytes(12))
+    return preview_argv(data, k_file, rgb=rgb), rgb, "malformed header"
+
+
+def normalized_thin_image(tmp_path, data, width, height):
+    k = Intrinsics(fx=48.0, fy=48.0, cx=(width - 1) / 2, cy=(height - 1) / 2, width=width, height=height)
+    k_thin = tmp_path / "k_thin.json"
+    write_intrinsics(k_thin, k)
+    depth = tmp_path / "thin.tcd"
+    write_depth(depth, np.full((height, width), 3.0))
+    return inference_argv(data, k_thin, depth) + ["--normalized"], k_thin, "at least 2x2"
+
+
+def normalized_width_1(tmp_path, data, k_file):
+    return normalized_thin_image(tmp_path, data, 1, K32.height)
+
+
+def normalized_height_1(tmp_path, data, k_file):
+    return normalized_thin_image(tmp_path, data, K32.width, 1)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        deep_path,
+        deep_intrinsics,
+        deep_scene,
+        preview_depth_hole,
+        segment_wrong_depth_size,
+        segment_one_frame_tracks,
+        preview_negative_ppm_size,
+        normalized_width_1,
+        normalized_height_1,
+    ],
+    ids=lambda case: case.__name__,
+)
+def test_data_error_blames_its_file(tmp_path, capsys, case):
+    data = run_synth(tmp_path)
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    argv, blamed, fragment = case(tmp_path, data, k_file)
+    out = tmp_path / "result"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {blamed}: ") and fragment in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_normalized_signal_bytes(tmp_path):
+    # signal-from-path --normalized writes float32(2·u / (W - 1) - 1), and
+    # likewise for v, computed in float64 from the pixel-coordinate tensor.
+    depth_file = tmp_path / "d.tcd"
+    write_depth(depth_file, rng(61).uniform(2.0, 5.0, (K32.height, K32.width)))
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    path_file = tmp_path / "p.json"
+    write_zoom_roll_path(path_file)
+    out = tmp_path / "t.tcs"
+    argv = ["signal-from-path", "--depth", str(depth_file), "--intrinsics", str(k_file),
+            "--path", str(path_file), "--motion-strength", "2.5", "--normalized", "--out", str(out)]
+    assert main(argv) == 0
+    ct = build_inference_signal(read_depth(depth_file), K32, load_path(path_file), 2.5)
+    expected = ct.data.copy()
+    expected[:, 0] = 2.0 * ct.data[:, 0] / (K32.width - 1.0) - 1.0
+    expected[:, 1] = 2.0 * ct.data[:, 1] / (K32.height - 1.0) - 1.0
+    body = out.read_bytes()[20:]
+    assert body == expected.astype("<f4").tobytes() + ct.last_frame_valid.astype("u1").tobytes()

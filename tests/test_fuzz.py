@@ -1,10 +1,13 @@
 """Fuzzing the command line with malformed input files.
 
-Structural mutations of the path, scene and intrinsics JSON formats and
-byte mutations of TCD1, TCT1 and PPM files go through `cli.main`. Whatever
-the input, `main` returns one of the documented exit codes (0 success,
-1 usage, 2 data, 3 numerical), explains a failure on stderr, and never
-raises. A successful signal-from-path run writes only finite values.
+Structural mutations of the path, scene and intrinsics JSON formats, byte
+mutations of TCD1, TCT1 and PPM files and line mutations of correspondence
+text go through `cli.main`. Whatever the input, `main` returns one of the
+documented exit codes (0 success, 1 usage, 2 data, 3 numerical), explains a
+failure on stderr, and never raises. A successful signal-from-path run
+writes only finite values. Byte mutations of TCS1 files go through
+`read_tensor`, which returns a tensor of the header's shape or raises
+FormatError.
 
 The runs are deterministic (derandomized, no example database) and small:
 an 8x8 image and three frames.
@@ -14,6 +17,7 @@ import contextlib
 import copy
 import io
 import json
+import struct
 import tempfile
 from pathlib import Path
 
@@ -25,7 +29,7 @@ from hypothesis import strategies as st
 from camsig.campath import PrimitiveSpec, compose_paths, generate_primitive, save_path
 from camsig.cli import main
 from camsig.geometry import Intrinsics
-from camsig.io import read_tensor
+from camsig.io import FormatError, read_tensor, write_correspondences
 
 # Even without an example database, Hypothesis caches the constants it
 # mines from the collected source files (at collection time); keep that
@@ -100,6 +104,33 @@ def mutated_json(draw, doc):
     return doc
 
 
+# Replacement tokens for correspondence lines: indices out of order, numbers
+# at the edge of the float range, non-finite and non-numeric text.
+TOKENS = st.sampled_from(["0", "1", "2", "-1", "2.5", "-0.0", "1e308", "5e-324", "nan", "inf", "x", "0x1", "1_0"])
+
+
+@st.composite
+def mutated_lines(draw, text):
+    """1-3 edits: replace or delete a token, delete or duplicate a line, or insert a blank line."""
+    lines = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["replace", "delete", "drop", "duplicate", "blank"]))
+        i = draw(st.integers(0, len(lines)))
+        if op == "blank" or i == len(lines):
+            lines.insert(i, [])
+        elif op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, list(lines[i]))
+        elif lines[i]:
+            j = draw(st.integers(0, len(lines[i]) - 1))
+            if op == "delete":
+                del lines[i][j]
+            else:
+                lines[i][j] = draw(TOKENS)
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
 @st.composite
 def mutated_bytes(draw, data, header_len):
     """1-3 edits: set a byte of the header or the start of the body, truncate, or append."""
@@ -117,7 +148,7 @@ def mutated_bytes(draw, data, header_len):
 
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory):
-    """Valid inputs for every command: intrinsics, path, scene and its synth export."""
+    """Valid inputs: intrinsics, path, scene, its synth export, a tensor and correspondences."""
     root = tmp_path_factory.mktemp("fuzz")
     (root / "k.json").write_text(json.dumps(K8.to_dict()))
     zoom = generate_primitive(PrimitiveSpec("zoom_out", 0.2, FRAMES))
@@ -126,6 +157,9 @@ def valid(tmp_path_factory):
     (root / "scene.json").write_text(json.dumps(SCENE))
     argv = ["synth", "--scene", str(root / "scene.json"), "--path", str(root / "path.json")]
     assert main(argv + ["--out", str(root / "data")]) == 0
+    assert signal_from_path(root, root) == 0
+    grid = np.array([[1.0, 2.0], [6.0, 1.5], [3.0, 7.0], [5.5, 5.0]])
+    write_correspondences(root / "corr.txt", [(grid, grid + 0.5), (grid, grid[:, ::-1])])
     return root
 
 
@@ -168,6 +202,7 @@ def write_json(file, doc):
 def test_valid_inputs_pass(valid):
     with workdir(valid) as work:
         assert signal_from_path(valid, work) == 0
+        assert eval_correspondences(valid, work, (valid / "corr.txt").read_text()) == 0
 
 
 @FUZZ
@@ -233,3 +268,32 @@ def test_fuzz_ppm_bytes(valid, data):
             "--path", str(valid / "path.json"),
             "--out", str(work / "prev"),
         ])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_tensor_bytes(valid, data):
+    raw = data.draw(mutated_bytes((valid / "t.tcs").read_bytes(), 20))
+    with workdir(valid) as work:
+        (work / "t.tcs").write_bytes(raw)
+        try:
+            ct = read_tensor(work / "t.tcs")
+        except FormatError:
+            return
+    t, c, h, w = struct.unpack_from("<IIII", raw, 4)
+    assert ct.data.shape == (t, c, h, w)
+    assert ct.last_frame_valid.shape == (h, w)
+
+
+def eval_correspondences(valid, work, text) -> int:
+    (work / "c.txt").write_text(text)
+    path = str(valid / "path.json")
+    return run_main(["eval", "--gt", path, "--est", path, "--corr", str(work / "c.txt"), "--out", str(work / "e.json")])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_correspondence_text(valid, data):
+    text = data.draw(mutated_lines((valid / "corr.txt").read_text()))
+    with workdir(valid) as work:
+        assert eval_correspondences(valid, work, text) in (0, 2)

@@ -1,4 +1,5 @@
 import logging
+import struct
 
 import numpy as np
 import pytest
@@ -163,6 +164,10 @@ class TestTensorFormat:
         bad[-1] = 9  # validity byte out of {0, 1}
         file.write_bytes(bytes(bad))
         with pytest.raises(FormatError, match="invalid validity byte at pixel 15"):
+            read_tensor(file)
+        four = struct.pack("<4sIIII", b"TCS1", 1, 4, 1, 1) + bytes(16) + b"\x01"
+        file.write_bytes(four)  # a consistent size, but not the (T, 3, H, W) layout
+        with pytest.raises(FormatError, match="expected 3 channels, got 4"):
             read_tensor(file)
 
 
