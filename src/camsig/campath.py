@@ -10,15 +10,13 @@ the scene clockwise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from camsig.geometry import RigidMotion, compose, is_rotation, so3_exp
-from camsig.geometry import json_list, json_number, json_object, read_json
+from camsig.geometry import json_list, json_number, json_object, read_json, write_json
 
 PRIMITIVE_KINDS = (
     "pan_left",
@@ -127,8 +125,7 @@ def motion_from_dict(doc, frame: int) -> RigidMotion:
 
 def save_path(path: CameraPath, file) -> None:
     """Write the canonical path JSON: {"frames": [{"R": ..., "t": ...}, ...]}."""
-    doc = {"frames": [motion_to_dict(m) for m in path.motions]}
-    Path(file).write_text(json.dumps(doc, indent=2) + "\n")
+    write_json(file, {"frames": [motion_to_dict(m) for m in path.motions]})
 
 
 def load_path(file) -> CameraPath:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import logging
 import math
 import os
@@ -29,8 +28,9 @@ from camsig.campath import (
     save_path,
 )
 from camsig.geometry import Intrinsics, check_depth_size, check_first_depth, in_image, project
-from camsig.geometry import read_json
+from camsig.geometry import read_json, write_json
 from camsig.io import (
+    FLOAT32_MAX,
     Tracks,
     assemble_field,
     read_correspondences,
@@ -103,8 +103,7 @@ def _write_json(path, payload: dict):
             return [sanitize(val) for val in obj]
         return obj
 
-    doc = {"toolkit_version": __version__, **sanitize(payload)}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"toolkit_version": __version__, **sanitize(payload)})
 
 
 def _depth_files(depth_dir) -> list:
@@ -121,26 +120,25 @@ def cmd_synth(args) -> int:
         if args.seed is not None:
             spec.seed = args.seed
         gt = generate_scene(spec, path)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     field = gt.field
     k = field.intrinsics
     # Per-frame depth images: z-buffered splat of the frame's points, holes
-    # left at zero.
-    for lam in range(field.num_frames):
-        depth_img, _ = splat_zbuffer(field.positions[lam], field.positions[lam][:, 2], k)
-        write_depth(out / f"depth_{lam:04d}.tcd", depth_img)
-    # Track files model a real tracker: points outside the image footprint
-    # are marked invisible (their depth cannot be sampled downstream).
+    # left at zero. Track files model a real tracker: points outside the
+    # image footprint are marked invisible (their depth cannot be sampled
+    # downstream). Both are stored as float32, checked before any is written.
+    depth_imgs = [splat_zbuffer(p, p[:, 2], k)[0] for p in field.positions]
     uv = project(field.positions, k)
+    if not all((np.abs(a) <= FLOAT32_MAX).all() for a in depth_imgs + [uv]):
+        raise DataError(f"{args.path}: scene coordinates exceed the float32 range of the output files")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for lam, depth_img in enumerate(depth_imgs):
+        write_depth(out / f"depth_{lam:04d}.tcd", depth_img)
     write_tracks(out / "tracks.tct", Tracks(uv, field.visibility & in_image(uv, k)))
     save_path(path, out / "path.json")
     write_pgm(out / "partition.pgm", np.where(gt.partition.static_mask, 255, 0).astype(np.uint8))
     write_ppm(out / "rgb0.ppm", gt.rgb0)
-    Path(out / "scene.json").write_text(
-        json.dumps(scene_to_dict(spec), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out / "scene.json", scene_to_dict(spec))
     return 0
 
 
@@ -225,14 +223,15 @@ def cmd_signal_from_video(args) -> int:
 
 
 def cmd_signal_from_path(args) -> int:
-    if not (math.isfinite(args.motion_strength) and args.motion_strength >= 0.0):
-        raise DataError(
-            f"--motion-strength must be finite and non-negative, got {args.motion_strength}"
-        )
+    strength = args.motion_strength
+    if not (math.isfinite(strength) and strength >= 0.0):
+        raise DataError(f"--motion-strength must be finite and non-negative, got {strength}")
+    if strength > FLOAT32_MAX:  # TCS1 stores float32
+        raise DataError(f"--motion-strength must not exceed the float32 limit {FLOAT32_MAX}, got {strength}")
     k = _load(args.intrinsics, _read_intrinsics)
     depth0 = _load(args.depth, lambda f: check_first_depth(read_depth(f), k))
     path = _load(args.path, load_path)
-    tensor = build_inference_signal(depth0, k, path, args.motion_strength)
+    tensor = build_inference_signal(depth0, k, path, strength)
     if args.normalized:
         with _blame(args.intrinsics):
             tensor = normalize_tensor(tensor, k)

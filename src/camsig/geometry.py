@@ -3,9 +3,9 @@
 It owns the package's one rigid transport (`apply`), pinhole model with
 camera-front test (`pinhole`) and image-footprint test (`in_image`); only
 the rigid fit projects on its own, to reuse x/z in its Jacobian. It also
-owns the JSON file reader (`read_json`) and typed JSON reader
-(`json_object`, `json_list`, `json_number`) that every JSON input format is
-parsed with, and the depth-map checks against the intrinsics
+owns the JSON file reader and writer (`read_json`, `write_json`), the typed
+JSON reader (`json_object`, `json_list`, `json_number`) that every JSON
+input is parsed with, and the depth-map checks against the intrinsics
 (`check_depth_size`, and `check_first_depth` for the first frame).
 
 Conventions used throughout the package:
@@ -49,6 +49,11 @@ def read_json(file):
         return json.loads(Path(file).read_text())
     except RecursionError:
         raise ValueError("JSON document nested too deeply") from None
+
+
+def write_json(file, doc) -> None:
+    """Write a JSON document: sorted keys, two-space indent, no NaN or inf."""
+    Path(file).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def json_object(doc, what: str, required, optional=()) -> dict:
@@ -264,14 +269,14 @@ def is_rotation(r: np.ndarray, atol: float = 1e-9) -> bool:
 def pinhole(points, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Pinhole projection without raising: (uv, front) over (..., 3) points.
 
-    front is z >= Z_MIN; uv is undefined (possibly inf or nan) where front
-    is False. uv is computed as fx·x / z + cx (and fy·y / z + cy) from whole
-    columns and returned as a view of a (2, ...) buffer.
+    front is z >= Z_MIN; uv is undefined where front is False and ±inf
+    where it overflows, which is never inside the image. uv = fx·x / z + cx
+    (and fy·y / z + cy) from whole columns, as a view of a (2, ...) buffer.
     """
     p = np.asarray(points, dtype=float)
     z = p[..., 2]
     cols = np.empty((2,) + z.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i, (f, c) in enumerate(((k.fx, k.cx), (k.fy, k.cy))):
             col = cols[i, ...]  # a writable view even for a single point
             np.multiply(f, p[..., i], out=col)

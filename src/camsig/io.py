@@ -30,13 +30,14 @@ import numpy as np
 
 from camsig.geometry import Intrinsics, Z_MIN, check_depth_size, unproject
 from camsig.signal import ControlTensor
-from camsig.trajfield import TrajectoryField, grid_sample_uv
+from camsig.trajfield import TrajectoryField, grid_sample_uv, hold_last_valid
 
 logger = logging.getLogger(__name__)
 
 MAGIC_DEPTH = b"TCD1"
 MAGIC_TRACKS = b"TCT1"
 MAGIC_TENSOR = b"TCS1"
+FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest value the binary formats store
 
 _TRACK_RECORD = np.dtype([("u", "<f4"), ("v", "<f4"), ("visible", "u1")])
 
@@ -303,8 +304,6 @@ def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) 
         raise ValueError("frame-0 track marked invisible")
 
     gh, gw = _infer_grid(tracks.uv[0], k)
-    if gh * gw != n:
-        raise ValueError("track count does not match grid dimensions")
     expected = grid_sample_uv(gh, gw, k)
     if np.max(np.abs(tracks.uv[0] - expected)) > 0.5:
         raise ValueError("frame-0 tracks not on the sample grid")
@@ -323,9 +322,7 @@ def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) 
             raise ValueError("frame-0 track has no valid depth")
         visibility[lam] = vis
         positions[lam][vis] = unproject(tracks.uv[lam][vis], depth[ok], k)
-        if lam > 0:
-            bad = ~vis
-            positions[lam][bad] = positions[lam - 1][bad]
+    hold_last_valid(positions, visibility[..., None])
     if total_clamped:
         logger.warning("clamped %d out-of-bounds track depth samples", total_clamped)
     return TrajectoryField(positions, visibility, gh, gw, k)

@@ -37,11 +37,16 @@ def trans_err(gt: CameraPath, est: CameraPath) -> float:
         raise ValueError("path length mismatch")
     t_gt = gt.translations()
     t_est = est.translations()
-    scale = float(np.linalg.norm(t_gt, axis=1).max())
-    if scale > 0.0:
-        t_gt = t_gt / scale
-        t_est = t_est / scale
-    return float(np.linalg.norm(t_est[1:] - t_gt[1:], axis=1).sum())
+    # Translations near the float limit overflow; that result is rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.linalg.norm(t_gt, axis=1).max())
+        if scale > 0.0:
+            t_gt = t_gt / scale
+            t_est = t_est / scale
+        value = float(np.linalg.norm(t_est[1:] - t_gt[1:], axis=1).sum())
+    if not math.isfinite(value):
+        raise ValueError("translations too large for a finite error")
+    return value
 
 
 def procrustes_2d(src, dst) -> tuple[float, np.ndarray]:

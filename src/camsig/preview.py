@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from camsig.campath import CameraPath
-from camsig.geometry import Intrinsics, apply, check_first_depth, pinhole, unproject
+from camsig.geometry import Intrinsics, apply, check_first_depth, in_image, pinhole, unproject
 from camsig.trajfield import grid_sample_uv
 
 BACKGROUND = np.array([128, 128, 128], dtype=np.uint8)
@@ -58,10 +58,10 @@ def splat_zbuffer(points, values, k: Intrinsics):
     """
     h, w = k.height, k.width
     uv, front = pinhole(points, k)
-    idx = np.flatnonzero(front)
+    idx = np.flatnonzero(front & in_image(uv, k))
     ui = np.floor(uv[idx, 0] + 0.5).astype(np.int64)  # round half up, deterministically
     vi = np.floor(uv[idx, 1] + 0.5).astype(np.int64)
-    inside = (ui >= 0) & (ui < w) & (vi >= 0) & (vi < h)
+    inside = (ui < w) & (vi < h)  # u = W - 0.5 is in the footprint but rounds to column W
     idx = idx[inside]
     lin = vi[inside] * w + ui[inside]
     zin = points[idx, 2]

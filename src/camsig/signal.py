@@ -17,7 +17,7 @@ import numpy as np
 from camsig.campath import CameraPath
 from camsig.geometry import Intrinsics, RigidMotion, apply, in_image, pinhole, unproject
 from camsig.geometry import check_first_depth
-from camsig.trajfield import ResidualField, TrajectoryField, _check_motions, grid_sample_uv
+from camsig.trajfield import ResidualField, TrajectoryField, grid_sample_uv, hold_last_valid
 
 
 @dataclass(eq=False)
@@ -96,13 +96,9 @@ def _transport_channels(p0, motions, k: Intrinsics, grid_h, grid_w) -> Trajector
     valid = np.empty((t, p0.shape[0]), dtype=bool)
     for lam, m in enumerate(motions):
         uv, front = pinhole(apply(m, p0), k)
-        ok = front & in_image(uv, k)
         channels[lam] = uv.T
-        # Out-of-frustum entries hold the last valid value; frame 0 keeps
-        # its own.
-        if lam:
-            np.copyto(channels[lam], channels[lam - 1], where=~ok)
-        valid[lam] = ok
+        valid[lam] = front & in_image(uv, k)
+    hold_last_valid(channels, valid[:, None])
     return TrajectoryChannels(
         channels.reshape(t, 2, grid_h, grid_w), valid.reshape(t, grid_h, grid_w)
     )
@@ -110,9 +106,11 @@ def _transport_channels(p0, motions, k: Intrinsics, grid_h, grid_w) -> Trajector
 
 def point_trajectory(field: TrajectoryField, motions: Sequence[RigidMotion]) -> TrajectoryChannels:
     """Trajectory channels of the field's frame-0 grid under the motions."""
-    _check_motions(motions, field.num_frames)
+    path = CameraPath(motions)
+    if len(path) != field.num_frames:
+        raise ValueError("frame count mismatch")
     return _transport_channels(
-        field.positions[0], list(motions), field.intrinsics, field.grid_h, field.grid_w
+        field.positions[0], path.motions, field.intrinsics, field.grid_h, field.grid_w
     )
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from camsig.campath import CameraPath, motion_from_dict, motion_to_dict
 from camsig.geometry import Intrinsics, apply, pinhole, unproject
 from camsig.geometry import json_list, json_number, json_object
-from camsig.trajfield import PixelPartition, TrajectoryField, grid_sample_uv
+from camsig.trajfield import PixelPartition, TrajectoryField, grid_sample_uv, hold_last_valid
 
 
 @dataclass
@@ -170,8 +170,7 @@ def generate_scene(spec: SceneSpec, path: CameraPath) -> GroundTruth:
             eta = rng.normal(0.0, spec.track_noise, size=(n, 2))
             vis = visible[lam]
             positions[lam][vis] = unproject((uv[lam] + eta)[vis], exact[lam][vis, 2], k)
-        bad = ~visible[lam]
-        positions[lam][bad] = positions[lam - 1][bad]
+    hold_last_valid(positions, visible[..., None])
 
     field = TrajectoryField(positions, visible, h, w, k)
 

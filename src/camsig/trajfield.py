@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from camsig.campath import CameraPath
 from camsig.geometry import Intrinsics, RigidMotion, Z_MIN, apply
 
 
@@ -27,6 +28,15 @@ def grid_sample_uv(grid_h: int, grid_w: int, k: Intrinsics) -> np.ndarray:
     vs = (np.arange(grid_h) + 0.5) * (k.height / grid_h) - 0.5
     uu, vv = np.meshgrid(us, vs)
     return np.stack([uu.ravel(), vv.ravel()], axis=1)
+
+
+def hold_last_valid(values: np.ndarray, valid: np.ndarray) -> None:
+    """In place along axis 0: where valid[lam] is False, values[lam] takes values[lam - 1].
+
+    Frames fill in order, so an invalid entry holds its last valid value.
+    """
+    for lam in range(1, len(values)):
+        np.copyto(values[lam], values[lam - 1], where=~valid[lam])
 
 
 @dataclass(eq=False)
@@ -119,24 +129,14 @@ class ResidualField:
         return self.g.shape[0]
 
 
-def _check_motions(motions: Sequence[RigidMotion], num_frames: int):
-    if len(motions) != num_frames:
-        raise ValueError("frame count mismatch")
-    first = motions[0]
-    if not (
-        np.allclose(first.rotation, np.eye(3), rtol=0.0, atol=1e-12)
-        and np.allclose(first.translation, 0.0, rtol=0.0, atol=1e-12)
-    ):
-        raise ValueError("frame-0 motion must be identity")
-
-
 def residual_g(field: TrajectoryField, motions: Sequence[RigidMotion]) -> ResidualField:
     """Residual of the field against rigid transports of its frame-0 points.
 
     g[lam][i] = positions[lam][i] - (R_lam @ positions[0][i] + t_lam); entries
     invisible at a frame are computed but flagged invalid.
     """
-    _check_motions(motions, field.num_frames)
+    if len(CameraPath(motions)) != field.num_frames:
+        raise ValueError("frame count mismatch")
     p0 = field.positions[0]
     g = np.empty_like(field.positions)
     for lam, m in enumerate(motions):

@@ -4,9 +4,9 @@ import shutil
 import numpy as np
 import pytest
 
-from camsig.campath import PrimitiveSpec, compose_paths, generate_primitive, load_path, save_path
+from camsig.campath import CameraPath, PrimitiveSpec, compose_paths, generate_primitive, load_path, save_path
 from camsig.cli import main
-from camsig.geometry import Intrinsics
+from camsig.geometry import Intrinsics, RigidMotion
 from camsig.io import (
     Tracks,
     read_depth,
@@ -43,6 +43,14 @@ def write_zoom_roll_path(path, frames=5):
     zoom = generate_primitive(PrimitiveSpec("zoom_out", 0.3, frames))
     roll = generate_primitive(PrimitiveSpec("rot_cw", 0.1, frames))
     save_path(compose_paths(zoom, roll), path)
+
+
+def write_far_path(file, t, base=None):
+    """A 5-frame pan (or `base`) path whose frame 2 has the translation t."""
+    path = base or generate_primitive(PrimitiveSpec("pan_right", 0.3, 5))
+    motions = list(path.motions)
+    motions[2] = RigidMotion(motions[2].rotation, np.array(t, dtype=float))
+    save_path(CameraPath(motions), file)
 
 
 def run_synth(tmp_path, **scene_kwargs):
@@ -196,6 +204,17 @@ def test_non_finite_motion_strength_is_data_error(tmp_path, capsys, strength):
     assert not (tmp_path / "t.tcs").exists()
 
 
+@pytest.mark.parametrize("strength", ["1e39", "3.5e38"])
+def test_motion_strength_beyond_float32_is_data_error(tmp_path, capsys, strength):
+    path_file = tmp_path / "p.json"
+    write_zoom_roll_path(path_file)
+    assert main(signal_from_path_argv(tmp_path, path_file, strength)) == 2
+    err = capsys.readouterr().err
+    limit = float(np.finfo(np.float32).max)
+    assert err == f"error: --motion-strength must not exceed the float32 limit {limit}, got {float(strength)}\n"
+    assert not (tmp_path / "t.tcs").exists()
+
+
 def test_bad_depth_blames_depth_file(tmp_path, capsys):
     path_file = tmp_path / "p.json"
     write_zoom_roll_path(path_file)
@@ -266,6 +285,25 @@ def test_preview_command(tmp_path):
     assert len(frames) == 5 and len(covers) == 5
     first = read_pgm(covers[0])
     assert np.all(first == 255)  # identity frame fully covered
+
+
+def test_overflowing_path_frame_is_held(tmp_path):
+    # Frame 2 moves every point to x = 1e308, whose projection overflows to
+    # inf: outside the image, so the signal holds frame 1's pixel values and
+    # the preview leaves frame 2 uncovered. No overflow warning escapes
+    # (warnings are errors in this suite).
+    data = run_synth(tmp_path)
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    write_far_path(data / "path.json", [1e308, 0.0, 0.0])
+    tensor = tmp_path / "t.tcs"
+    assert main(inference_argv(data, k_file) + ["--out", str(tensor)]) == 0
+    ct = read_tensor(tensor)
+    assert np.isfinite(ct.data).all()
+    assert np.array_equal(ct.data[2, :2], ct.data[1, :2])
+    prev = tmp_path / "prev"
+    assert main(preview_argv(data, k_file) + ["--out", str(prev)]) == 0
+    assert not read_pgm(prev / "coverage_0002.pgm").any()
 
 
 def test_eval_self_consistency(tmp_path):
@@ -598,6 +636,28 @@ def preview_negative_ppm_size(tmp_path, data, k_file):
     return preview_argv(data, k_file, rgb=rgb), rgb, "malformed header"
 
 
+def eval_huge_translation(tmp_path, data, k_file):
+    gt, huge = tmp_path / "pan.json", tmp_path / "huge.json"
+    save_path(generate_primitive(PrimitiveSpec("pan_right", 0.3, 5)), gt)
+    write_far_path(huge, [1e308, 0.0, 0.0])
+    return ["eval", "--gt", str(gt), "--est", str(huge)], huge, "too large for a finite error"
+
+
+def synth_far_point(tmp_path, data, t):
+    far = tmp_path / "far.json"
+    write_far_path(far, t, base=load_path(data / "path.json"))
+    argv = ["synth", "--scene", str(tmp_path / "scene.json"), "--path", str(far)]
+    return argv, far, "exceed the float32 range"
+
+
+def synth_far_depth(tmp_path, data, k_file):
+    return synth_far_point(tmp_path, data, [0.0, 0.0, 1e39])
+
+
+def synth_far_track(tmp_path, data, k_file):
+    return synth_far_point(tmp_path, data, [1e38, 0.0, 0.0])
+
+
 def normalized_thin_image(tmp_path, data, width, height):
     k = Intrinsics(fx=48.0, fy=48.0, cx=(width - 1) / 2, cy=(height - 1) / 2, width=width, height=height)
     k_thin = tmp_path / "k_thin.json"
@@ -627,6 +687,9 @@ def normalized_height_1(tmp_path, data, k_file):
         preview_negative_ppm_size,
         normalized_width_1,
         normalized_height_1,
+        eval_huge_translation,
+        synth_far_depth,
+        synth_far_track,
     ],
     ids=lambda case: case.__name__,
 )

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from camsig.campath import CameraPath, PrimitiveSpec, generate_primitive
 from camsig.geometry import Intrinsics, RigidMotion, unproject
-from camsig.preview import BACKGROUND, RgbdFrame, render_preview
+from camsig.preview import BACKGROUND, RgbdFrame, render_preview, splat_zbuffer
 from camsig.trajfield import grid_sample_uv
 from test_splat_reference import reference_splat
 from util import K32, identity_motions, rng, smooth_motions
@@ -84,6 +86,22 @@ def test_zbuffer_tie_breaks_by_source_index():
     )
     out = render_preview(frame0, path)
     assert np.array_equal(out.frames[1][0, 1], [10, 0, 0])
+
+
+def test_splat_ignores_points_projected_beyond_int64():
+    # x = 1e308 overflows the projection to inf; x = 1e19 at z = 1 projects
+    # finitely but past the int64 range. Both are outside the image, so they
+    # change nothing, and no cast or overflow warning is raised.
+    k = K32
+    depth = rng(53).uniform(1.0, 3.0, k.height * k.width)
+    points = unproject(grid_sample_uv(k.height, k.width, k), depth, k)
+    values = np.arange(len(points))
+    far = np.array([[1e308, 0.0, 1.0], [1e19, 0.0, 1.0], [0.0, -1e308, 2.0], [-1e19, 1e19, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = splat_zbuffer(np.concatenate([points, far]), np.concatenate([values, [-1] * 4]), k)
+    want = splat_zbuffer(points, values, k)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_zoom_in_grows_marker_area():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from camsig.geometry import RigidMotion, so3_exp
+from camsig.signal import point_trajectory
 from camsig.trajfield import TrajectoryField, grid_sample_uv, residual_g
 from util import K32, identity_motions, rng, smooth_motions, transported_field
 
@@ -74,10 +75,15 @@ def test_non_identity_frame0_rejected():
     gen = rng(6)
     motions = smooth_motions(3, gen)
     field = transported_field(K32, motions, gen=gen)
-    bad = list(motions)
-    bad[0] = RigidMotion(so3_exp(np.array([0.0, 0.0, 0.01])), np.zeros(3))
-    with pytest.raises(ValueError, match="identity"):
-        residual_g(field, bad)
+    # Frame 0 must be exactly the identity, as a loaded path's must.
+    for first in (
+        RigidMotion(so3_exp(np.array([0.0, 0.0, 0.01])), np.zeros(3)),
+        RigidMotion(np.eye(3), np.array([1e-13, 0.0, 0.0])),
+    ):
+        bad = [first] + list(motions[1:])
+        for check in (residual_g, point_trajectory):
+            with pytest.raises(ValueError, match="frame-0 motion must be identity"):
+                check(field, bad)
 
 
 def test_frame_count_mismatch_rejected():
