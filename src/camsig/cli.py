@@ -122,11 +122,11 @@ def cmd_synth(args) -> int:
         gt = generate_scene(spec, path)
     field = gt.field
     k = field.intrinsics
-    # Per-frame depth images: z-buffered splat of the frame's points, holes
-    # left at zero. Track files model a real tracker: points outside the
-    # image footprint are marked invisible (their depth cannot be sampled
-    # downstream). Both are stored as float32, checked before any is written.
-    depth_imgs = [splat_zbuffer(p, p[:, 2], k)[0] for p in field.positions]
+    # Per-frame depth images: z-buffered splat of the frame's visible
+    # points, holes left at zero. Track files model a real tracker: points
+    # outside the image footprint are marked invisible (their depth cannot be
+    # sampled downstream). Both are stored as float32, checked before writing.
+    depth_imgs = [splat_zbuffer(p[v], p[v, 2], k)[0] for p, v in zip(field.positions, field.visibility)]
     uv = project(field.positions, k)
     if not all((np.abs(a) <= FLOAT32_MAX).all() for a in depth_imgs + [uv]):
         raise DataError(f"{args.path}: scene coordinates exceed the float32 range of the output files")
@@ -370,6 +370,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.threads < 0:
             parser.error(f"--threads must be >= 0 (0 = auto), got {args.threads}")
+        if args.seed is not None and args.seed < 0:
+            parser.error(f"--seed must be >= 0, got {args.seed}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

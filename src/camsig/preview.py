@@ -54,7 +54,9 @@ def splat_zbuffer(points, values, k: Intrinsics):
     index wins. Two unbuffered scatter-mins over the flat pixel grid pick
     the winner: the first gives each pixel's nearest depth, the second the
     smallest source index among the points at that depth. A minimum does
-    not depend on order, so neither does the result.
+    not depend on order, so neither does the result. The index buffer is
+    the image: one gather from the payload extended by a zero row, which
+    index n (an uncovered pixel) reads.
     """
     h, w = k.height, k.width
     uv, front = pinhole(points, k)
@@ -72,14 +74,8 @@ def splat_zbuffer(points, values, k: Intrinsics):
     n = len(points)
     ibuf = np.full(h * w, n, dtype=np.int64)  # n marks an uncovered pixel
     np.minimum.at(ibuf, lin[tie], idx[tie])
-    pixels = np.flatnonzero(ibuf < n)
-    winners = ibuf[pixels]
-
-    image = np.zeros((h * w,) + values.shape[1:], dtype=values.dtype)
-    coverage = np.zeros(h * w, dtype=bool)
-    image[pixels] = values[winners]
-    coverage[pixels] = True
-    return image.reshape((h, w) + values.shape[1:]), coverage.reshape(h, w)
+    ext = np.concatenate([values, np.zeros((1,) + values.shape[1:], dtype=values.dtype)])
+    return ext[ibuf].reshape((h, w) + values.shape[1:]), (ibuf < n).reshape(h, w)
 
 
 def render_preview(frame0: RgbdFrame, path: CameraPath, threads: int = 1) -> PreviewFrames:

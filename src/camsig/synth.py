@@ -76,6 +76,8 @@ class SceneSpec:
             value = getattr(self, name)
             if not (0.0 <= value < math.inf):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.grid_h != self.intrinsics.height or self.grid_w != self.intrinsics.width:
             raise ValueError("grid dimensions must equal image dimensions")
 
@@ -168,7 +170,7 @@ def generate_scene(spec: SceneSpec, path: CameraPath) -> GroundTruth:
     for lam in range(1, t):
         if spec.track_noise > 0.0:
             eta = rng.normal(0.0, spec.track_noise, size=(n, 2))
-            vis = visible[lam]
+            vis = visible[lam] & np.isfinite(uv[lam]).all(axis=-1)  # an overflowed pixel stays exact
             positions[lam][vis] = unproject((uv[lam] + eta)[vis], exact[lam][vis, 2], k)
     hold_last_valid(positions, visible[..., None])
 

@@ -6,7 +6,7 @@ import pytest
 
 from camsig.campath import CameraPath, PrimitiveSpec, compose_paths, generate_primitive, load_path, save_path
 from camsig.cli import main
-from camsig.geometry import Intrinsics, RigidMotion
+from camsig.geometry import Intrinsics, RigidMotion, apply, project, read_json, unproject
 from camsig.io import (
     Tracks,
     read_depth,
@@ -17,7 +17,10 @@ from camsig.io import (
     write_depth,
     write_tracks,
 )
+from camsig.preview import splat_zbuffer
 from camsig.signal import build_inference_signal
+from camsig.synth import generate_scene, scene_from_dict
+from camsig.trajfield import grid_sample_uv
 from util import K32, rng
 
 
@@ -266,6 +269,55 @@ def test_negative_threads_is_usage_error(tmp_path, capsys):
     assert main(["--threads", "0"] + argv) == 0
 
 
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    scene, path, out = tmp_path / "scene.json", tmp_path / "path.json", tmp_path / "synth"
+    write_scene(scene)
+    write_zoom_roll_path(path)
+    argv = ["synth", "--scene", str(scene), "--path", str(path), "--out", str(out)]
+    assert main(["--seed", "-1"] + argv) == 1
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["--seed", "0"] + argv) == 0
+
+
+def test_synth_depth_maps_hold_only_visible_points(tmp_path):
+    # zoom_in 1.3 carries the 1.0-1.4 deep scene through the camera: in
+    # frame 5 no track is visible, and the held positions of the points
+    # behind the camera must leave no depth.
+    scene, path, out = tmp_path / "scene.json", tmp_path / "path.json", tmp_path / "synth"
+    write_scene(scene, frames=6, seed=1, depth=(1.0, 1.4), jitter=0.2)
+    save_path(generate_primitive(PrimitiveSpec("zoom_in", 1.3, 6)), path)
+    assert main(["synth", "--scene", str(scene), "--path", str(path), "--out", str(out)]) == 0
+    field = generate_scene(scene_from_dict(read_json(scene)), load_path(path)).field
+    assert not read_tracks(out / "tracks.tct").visible[5].any()
+    for lam, (p, v) in enumerate(zip(field.positions, field.visibility)):
+        expected = splat_zbuffer(p[v], p[v, 2], K32)[0].astype(np.float32)
+        assert np.array_equal(read_depth(out / f"depth_{lam:04d}.tcd"), expected)
+    assert not read_depth(out / "depth_0005.tcd").any()
+
+
+def test_tracks_on_a_coarser_grid_than_the_image(tmp_path):
+    # 16x16 tracks on a 32x32 image: the grid is recovered from frame 0 and
+    # the signal keeps the track grid, not the image grid.
+    path = generate_primitive(PrimitiveSpec("pan_right", 0.05, 4))
+    uv0 = grid_sample_uv(16, 16, K32)
+    p0 = unproject(uv0, np.full(len(uv0), 2.0), K32)
+    uv = np.stack([project(apply(m, p0), K32) for m in path.motions])
+    write_tracks(tmp_path / "tracks.tct", Tracks(uv, np.ones(uv.shape[:2], dtype=bool)))
+    for lam in range(4):
+        write_depth(tmp_path / f"depth_{lam:04d}.tcd", np.full((K32.height, K32.width), 2.0))
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    inputs = segment_argv(tmp_path / "tracks.tct", tmp_path, k_file)[1:]
+    assert main(["segment", *inputs, "--out", str(tmp_path / "seg")]) == 0
+    tensor_file = tmp_path / "signal.tcs"
+    assert main(["signal-from-video", *inputs, "--out", str(tensor_file)]) == 0
+    data = read_tensor(tensor_file).data
+    assert data.shape == (4, 3, 16, 16)
+    assert np.array_equal(data[0, 0].ravel(), uv0[:, 0].astype(np.float32))
+    assert np.array_equal(data[0, 1].ravel(), uv0[:, 1].astype(np.float32))
+
+
 def test_preview_command(tmp_path):
     out = run_synth(tmp_path)
     k_file = tmp_path / "k.json"
@@ -460,6 +512,7 @@ SCALED_R = [[1.01, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         pytest.param("scene", set_fields(objects=3), "objects: expected a list, got 3", id="scene-objects-number"),
         pytest.param("scene", set_fields(depth_range=[2]), "depth_range: expected 2 numbers", id="scene-depth-range-short"),
         pytest.param("scene", set_fields(frames=2.5), "frames: expected an integer, got 2.5", id="scene-frames-fraction"),
+        pytest.param("scene", set_fields(seed=-1), "seed must be a non-negative integer, got -1", id="scene-seed-negative"),
         pytest.param(
             "scene",
             set_fields(objects=[{"center": [15.5, 15.5], "velocity": [0.0, 0.05, 0.0]}]),
@@ -658,6 +711,15 @@ def synth_far_track(tmp_path, data, k_file):
     return synth_far_point(tmp_path, data, [1e38, 0.0, 0.0])
 
 
+def synth_noisy_overflowing_track(tmp_path, data, k_file):
+    # Frame 2's projection overflows to inf; track noise must not lift it
+    # to an infinite position that would blame the scene file.
+    noisy, huge = tmp_path / "noisy.json", tmp_path / "huge.json"
+    write_scene(noisy, noise=0.3)
+    write_far_path(huge, [1e308, 0.0, 0.0])
+    return ["synth", "--scene", str(noisy), "--path", str(huge)], huge, "exceed the float32 range"
+
+
 def normalized_thin_image(tmp_path, data, width, height):
     k = Intrinsics(fx=48.0, fy=48.0, cx=(width - 1) / 2, cy=(height - 1) / 2, width=width, height=height)
     k_thin = tmp_path / "k_thin.json"
@@ -690,6 +752,7 @@ def normalized_height_1(tmp_path, data, k_file):
         eval_huge_translation,
         synth_far_depth,
         synth_far_track,
+        synth_noisy_overflowing_track,
     ],
     ids=lambda case: case.__name__,
 )
