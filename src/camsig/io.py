@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -76,8 +77,11 @@ class Tracks:
 
 
 def _read_binary(file, magic: bytes, header: str, body_size) -> tuple:
-    """Header fields and body of a magic-tagged file; body_size(*fields) is exact."""
-    data = Path(file).read_bytes()
+    """Header fields and writable body of a magic-tagged file; body_size(*fields) is exact."""
+    with open(file, "rb") as fh:  # into a bytearray, so arrays that view it are writable
+        data = bytearray(os.fstat(fh.fileno()).st_size)  # 0 for a pipe
+        n = fh.readinto(data)
+        data[n:] = fh.read()  # the rest of a pipe, or nothing
     start = len(magic) + struct.calcsize(header)
     if len(data) >= len(magic) and data[: len(magic)] != magic:
         raise FormatError("unrecognized format")
@@ -162,9 +166,7 @@ def read_tensor(file) -> ControlTensor:
     bad = (mask > 1).nonzero()[0]
     if bad.size:
         raise FormatError(f"invalid validity byte at pixel {int(bad[0])}")
-    return ControlTensor(
-        values.astype(float).reshape(t, c, h, w), mask.astype(bool).reshape(h, w)
-    )
+    return ControlTensor(values.reshape(t, c, h, w), mask.astype(bool).reshape(h, w))
 
 
 def _read_pnm(file, magic: bytes, channels: int) -> np.ndarray:

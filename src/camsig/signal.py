@@ -17,7 +17,7 @@ import numpy as np
 from camsig.campath import CameraPath
 from camsig.geometry import Intrinsics, RigidMotion, apply, in_image, pinhole, unproject
 from camsig.geometry import check_first_depth
-from camsig.trajfield import ResidualField, TrajectoryField, grid_sample_uv, hold_last_valid
+from camsig.trajfield import ResidualField, TrajectoryField, grid_sample_uv
 
 
 @dataclass(eq=False)
@@ -77,7 +77,9 @@ class ControlTensor:
     last_frame_valid: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
+        self.data = np.asarray(self.data)
+        if self.data.dtype != np.float32:
+            self.data = self.data.astype(float, copy=False)
         self.last_frame_valid = np.asarray(self.last_frame_valid, dtype=bool)
         if self.data.ndim != 4 or self.data.shape[1] != 3:
             raise ValueError("control tensor must have shape (T, 3, H, W)")
@@ -89,29 +91,32 @@ class ControlTensor:
         return self.data.shape[0]
 
 
-def _transport_channels(p0, motions, k: Intrinsics, grid_h, grid_w) -> TrajectoryChannels:
-    """Project rigid transports of the frame-0 points for every frame."""
-    t = len(motions)
-    channels = np.empty((t, 2, p0.shape[0]))
-    valid = np.empty((t, p0.shape[0]), dtype=bool)
+def _transport_channels(p0, motions, k: Intrinsics, out: np.ndarray) -> np.ndarray:
+    """Project rigid transports of p0 into out (T, 2, N); return the (T, N) validity.
+
+    An invalid entry holds the previous frame's value before the float64
+    frame is cast to out's dtype, so no out-of-image value is ever cast.
+    """
+    valid = np.empty((len(motions), p0.shape[0]), dtype=bool)
     for lam, m in enumerate(motions):
         uv, front = pinhole(apply(m, p0), k)
-        channels[lam] = uv.T
         valid[lam] = front & in_image(uv, k)
-    hold_last_valid(channels, valid[:, None])
-    return TrajectoryChannels(
-        channels.reshape(t, 2, grid_h, grid_w), valid.reshape(t, grid_h, grid_w)
-    )
+        frame = uv.T
+        if lam:
+            np.copyto(frame, out[lam - 1], where=~valid[lam])
+        out[lam] = frame
+    return valid
 
 
 def point_trajectory(field: TrajectoryField, motions: Sequence[RigidMotion]) -> TrajectoryChannels:
     """Trajectory channels of the field's frame-0 grid under the motions."""
     path = CameraPath(motions)
-    if len(path) != field.num_frames:
+    t, gh, gw = field.num_frames, field.grid_h, field.grid_w
+    if len(path) != t:
         raise ValueError("frame count mismatch")
-    return _transport_channels(
-        field.positions[0], path.motions, field.intrinsics, field.grid_h, field.grid_w
-    )
+    channels = np.empty((t, 2, gh, gw))
+    valid = _transport_channels(field.positions[0], path.motions, field.intrinsics, channels.reshape(t, 2, -1))
+    return TrajectoryChannels(channels, valid.reshape(t, gh, gw))
 
 
 def motion_strength(g: ResidualField) -> MotionStrengthSeries:
@@ -160,15 +165,18 @@ def build_inference_signal(
 
     The point set is every pixel center of depth0 lifted at its depth; the
     user strength is applied uniformly to frames 1..T-1 with frame 0 zero.
+    The tensor is float32, as TCS1 stores it, and is filled frame by frame.
     """
+    if not 0.0 <= m_user <= float(np.finfo(np.float32).max):  # NaN fails too
+        raise ValueError(f"motion strength must be a float32 value >= 0, got {m_user}")
     depth = check_first_depth(depth0, k)
     h, w = depth.shape
-    uv = grid_sample_uv(h, w, k)
-    p0 = unproject(uv, depth.ravel(), k)
-    traj = _transport_channels(p0, path.motions, k, h, w)
-    m = np.full(len(path), float(m_user))
-    m[0] = 0.0
-    return pack_tensor(traj, MotionStrengthSeries(m, np.zeros(len(path), dtype=bool)))
+    p0 = unproject(grid_sample_uv(h, w, k), depth.ravel(), k)
+    data = np.empty((len(path), 3, h * w), dtype=np.float32)
+    valid = _transport_channels(p0, path.motions, k, data[:, :2])
+    data[0, 2] = 0.0
+    data[1:, 2] = m_user
+    return ControlTensor(data.reshape(-1, 3, h, w), valid[-1].reshape(h, w))
 
 
 def normalize_tensor(ct: ControlTensor, k: Intrinsics) -> ControlTensor:

@@ -15,10 +15,11 @@ from camsig.io import (
     read_tracks,
     write_correspondences,
     write_depth,
+    write_tensor,
     write_tracks,
 )
 from camsig.preview import splat_zbuffer
-from camsig.signal import build_inference_signal
+from camsig.signal import build_inference_signal, normalize_tensor
 from camsig.synth import generate_scene, scene_from_dict
 from camsig.trajfield import grid_sample_uv
 from util import K32, rng
@@ -337,6 +338,21 @@ def test_preview_command(tmp_path):
     assert len(frames) == 5 and len(covers) == 5
     first = read_pgm(covers[0])
     assert np.all(first == 255)  # identity frame fully covered
+
+
+def test_path_frame_beyond_float32_range_is_held(tmp_path):
+    # Frame 2 moves every point to x = 1e38: the projection, about 1e39, is
+    # finite in float64 but beyond float32. It lies outside the image, so it
+    # is held before the frame is cast and no overflow warning escapes.
+    data = run_synth(tmp_path)
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    write_far_path(data / "path.json", [1e38, 0.0, 0.0])
+    tensor = tmp_path / "t.tcs"
+    assert main(inference_argv(data, k_file) + ["--out", str(tensor)]) == 0
+    ct = read_tensor(tensor)
+    assert np.isfinite(ct.data).all()
+    assert np.array_equal(ct.data[2, :2], ct.data[1, :2])
 
 
 def test_overflowing_path_frame_is_held(tmp_path):
@@ -770,8 +786,8 @@ def test_data_error_blames_its_file(tmp_path, capsys, case):
 
 
 def test_normalized_signal_bytes(tmp_path):
-    # signal-from-path --normalized writes float32(2·u / (W - 1) - 1), and
-    # likewise for v, computed in float64 from the pixel-coordinate tensor.
+    # signal-from-path --normalized writes 2·u / (W - 1) - 1, and likewise
+    # for v, computed in float32 from the float32 pixel-coordinate tensor.
     depth_file = tmp_path / "d.tcd"
     write_depth(depth_file, rng(61).uniform(2.0, 5.0, (K32.height, K32.width)))
     k_file = tmp_path / "k.json"
@@ -788,3 +804,18 @@ def test_normalized_signal_bytes(tmp_path):
     expected[:, 1] = 2.0 * ct.data[:, 1] / (K32.height - 1.0) - 1.0
     body = out.read_bytes()[20:]
     assert body == expected.astype("<f4").tobytes() + ct.last_frame_valid.astype("u1").tobytes()
+
+
+def test_normalized_output_is_normalized_plain_output(tmp_path):
+    depth_file = tmp_path / "d.tcd"
+    write_depth(depth_file, rng(62).uniform(2.0, 5.0, (K32.height, K32.width)))
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    path_file = tmp_path / "p.json"
+    write_zoom_roll_path(path_file)
+    argv = ["signal-from-path", "--depth", str(depth_file), "--intrinsics", str(k_file),
+            "--path", str(path_file), "--motion-strength", "2.5"]
+    assert main(argv + ["--out", str(tmp_path / "plain.tcs")]) == 0
+    assert main(argv + ["--normalized", "--out", str(tmp_path / "norm.tcs")]) == 0
+    write_tensor(tmp_path / "renorm.tcs", normalize_tensor(read_tensor(tmp_path / "plain.tcs"), K32))
+    assert (tmp_path / "renorm.tcs").read_bytes() == (tmp_path / "norm.tcs").read_bytes()

@@ -1,4 +1,5 @@
 import logging
+import os
 import struct
 
 import numpy as np
@@ -89,6 +90,19 @@ class TestDepthFormat:
         write_depth(file, depth)
         assert read_depth(file)[2, 2] == 0.0
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_reads_from_a_pipe(self, tmp_path):
+        depth = rng(87).uniform(1.0, 3.0, size=(4, 5)).astype(np.float32)
+        write_depth(tmp_path / "d.tcd", depth)
+        read_end, write_end = os.pipe()
+        os.write(write_end, (tmp_path / "d.tcd").read_bytes())  # fits the pipe buffer
+        os.close(write_end)
+        try:
+            back = read_depth(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert np.array_equal(back, depth)
+
 
 class TestTrackFormat:
     def make_tracks(self, gen, t=4, n=12):
@@ -147,6 +161,18 @@ class TestTensorFormat:
         raw = file.read_bytes()
         write_tensor(tmp_path / "x2.tcs", back)
         assert (tmp_path / "x2.tcs").read_bytes() == raw
+
+    def test_read_is_writable_float32_without_widening(self, tmp_path):
+        gen = rng(86)
+        ct = ControlTensor(gen.normal(size=(2, 3, 4, 5)).astype(np.float32), gen.uniform(size=(4, 5)) > 0.5)
+        file = tmp_path / "x.tcs"
+        write_tensor(file, ct)
+        back = read_tensor(file)
+        assert back.data.dtype == np.float32 and back.data.flags.writeable
+        assert np.array_equal(back.data, ct.data)
+        back.data[0, 0, 0, 0] += 1.0
+        write_tensor(tmp_path / "x2.tcs", read_tensor(file))
+        assert (tmp_path / "x2.tcs").read_bytes() == file.read_bytes()
 
     def test_corruptions(self, tmp_path):
         gen = rng(85)

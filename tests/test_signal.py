@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,30 @@ def test_big_shape_packing():
     path = generate_primitive(PrimitiveSpec("pan_right", 0.3, t))
     ct = build_inference_signal(np.asarray(depth, dtype=float), k, path, 300.0)
     assert ct.data.shape == (24, 3, 448, 704)
+
+
+def test_big_shape_inference_peak_allocation():
+    # One float32 tensor plus per-frame float64 temporaries: no float64
+    # (T, 2, N) channels and no float64 copy of the tensor.
+    t, h, w = 24, 448, 704
+    k = Intrinsics(fx=600.0, fy=600.0, cx=(w - 1) / 2, cy=(h - 1) / 2, width=w, height=h)
+    depth = np.full((h, w), 4.0)
+    path = generate_primitive(PrimitiveSpec("pan_right", 0.3, t))
+    tracemalloc.start()
+    try:
+        ct = build_inference_signal(depth, k, path, 300.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ct.data.dtype == np.float32
+    assert peak < 1.6 * ct.data.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 1e39])
+def test_inference_signal_rejects_non_float32_strength(bad):
+    depth = np.full((K32.height, K32.width), 2.0)
+    with pytest.raises(ValueError, match="motion strength must be a float32 value >= 0"):
+        build_inference_signal(depth, K32, CameraPath(identity_motions(3)), bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -11,10 +11,11 @@ import math
 
 import numpy as np
 
-from camsig.geometry import RigidMotion, Z_MIN, so3_exp
+from camsig.campath import CameraPath
+from camsig.geometry import RigidMotion, Z_MIN, so3_exp, unproject
 from camsig.segmentation import _observed_projections, _per_point_errors
-from camsig.signal import _transport_channels
-from camsig.trajfield import TrajectoryField, residual_g
+from camsig.signal import _transport_channels, build_inference_signal
+from camsig.trajfield import TrajectoryField, grid_sample_uv, residual_g
 from util import K32, grid_points, rng, smooth_motions
 
 
@@ -114,12 +115,25 @@ def test_transport_channels_match_batched_reference():
     motions = leaving_motions()
     p0 = field.positions[0]
     want_channels, want_valid = reference_transport_channels(p0, motions, K32, K32.height, K32.width)
-    got = _transport_channels(p0, motions, K32, K32.height, K32.width)
+    channels = np.empty((len(motions), 2, p0.shape[0]))
+    valid = _transport_channels(p0, motions, K32, channels)
     # The data must exercise both hold causes: off-image and behind camera.
     assert not want_valid[-1].all() and not want_valid[1:-1].all()
     assert (reference_transport(p0, motions)[-1, :, 2] < Z_MIN).any()
-    assert np.array_equal(got.channels, want_channels)
-    assert np.array_equal(got.valid, want_valid)
+    assert np.array_equal(channels.reshape(want_channels.shape), want_channels)
+    assert np.array_equal(valid.reshape(want_valid.shape), want_valid)
+
+
+def test_inference_signal_is_reference_channels_cast_to_float32():
+    depth = rng(5).uniform(1.5, 2.5, size=(K32.height, K32.width))
+    path = CameraPath(leaving_motions())
+    p0 = unproject(grid_sample_uv(K32.height, K32.width, K32), depth.ravel(), K32)
+    want_channels, want_valid = reference_transport_channels(p0, path.motions, K32, K32.height, K32.width)
+    assert not want_valid[-1].all() and not want_valid[1:-1].all()
+    ct = build_inference_signal(depth, K32, path, 7.5)
+    assert ct.data.dtype == np.float32
+    assert np.array_equal(ct.data[:, :2], want_channels.astype(np.float32))
+    assert np.array_equal(ct.last_frame_valid, want_valid[-1])
 
 
 def test_per_point_errors_match_batched_reference():
