@@ -60,12 +60,12 @@ def splat_zbuffer(points, values, k: Intrinsics):
     """
     h, w = k.height, k.width
     uv, front = pinhole(points, k)
-    idx = np.flatnonzero(front & in_image(uv, k))
-    ui = np.floor(uv[idx, 0] + 0.5).astype(np.int64)  # round half up, deterministically
-    vi = np.floor(uv[idx, 1] + 0.5).astype(np.int64)
-    inside = (ui < w) & (vi < h)  # u = W - 0.5 is in the footprint but rounds to column W
-    idx = idx[inside]
-    lin = vi[inside] * w + ui[inside]
+    keep = front & in_image(uv, k)
+    cols = np.moveaxis(uv, -1, 0)  # pinhole's (2, N) buffer, rounded in place
+    np.floor(np.add(cols, 0.5, out=cols), out=cols)  # round half up, deterministically
+    keep &= (cols[0] < w) & (cols[1] < h)  # u = W - 0.5 is in the footprint but rounds to column W
+    idx = np.flatnonzero(keep)
+    lin = (cols[1, idx] * w + cols[0, idx]).astype(np.int64)  # exact: whole numbers below 2^53
     zin = points[idx, 2]
 
     zbuf = np.full(h * w, np.inf)
@@ -84,16 +84,22 @@ def render_preview(frame0: RgbdFrame, path: CameraPath, threads: int = 1) -> Pre
     h, w = k.height, k.width
     uv = grid_sample_uv(h, w, k)
     p0 = unproject(uv, frame0.depth.ravel(), k)  # coordinate-major, as apply reads fastest
-    colors = frame0.rgb.reshape(-1, 3)
+    # One little-endian word per point: its RGB bytes XOR BACKGROUND, then a
+    # zero byte. XORing the splat's words with BACKGROUND's word restores the
+    # colours, and turns the zero sentinel of an uncovered pixel into BACKGROUND.
+    rgbx = np.zeros((h * w, 4), dtype=np.uint8)
+    rgbx[:, :3] = frame0.rgb.reshape(-1, 3) ^ BACKGROUND
+    words = rgbx.view("<u4").ravel()
+    background = int.from_bytes(BACKGROUND.tobytes(), "little")
 
     t = len(path)
     frames = np.empty((t, h, w, 3), dtype=np.uint8)
     coverage = np.empty((t, h, w), dtype=bool)
 
     def render_one(lam):
-        image, cov = splat_zbuffer(apply(path[lam], p0), colors, k)
-        image[~cov] = BACKGROUND
-        frames[lam] = image
+        image, cov = splat_zbuffer(apply(path[lam], p0), words, k)
+        image ^= background
+        frames[lam] = image.view(np.uint8).reshape(h, w, 4)[..., :3]
         coverage[lam] = cov
 
     with ThreadPoolExecutor(max_workers=threads) as pool:

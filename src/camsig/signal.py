@@ -91,20 +91,25 @@ class ControlTensor:
         return self.data.shape[0]
 
 
+BLOCK = 16_384  # points per transport step: its temporaries stay in cache
+
+
 def _transport_channels(p0, motions, k: Intrinsics, out: np.ndarray) -> np.ndarray:
     """Project rigid transports of p0 into out (T, 2, N); return the (T, N) validity.
 
     An invalid entry holds the previous frame's value before the float64
     frame is cast to out's dtype, so no out-of-image value is ever cast.
+    Each frame runs in blocks of BLOCK points; every step is elementwise.
     """
     valid = np.empty((len(motions), p0.shape[0]), dtype=bool)
     for lam, m in enumerate(motions):
-        uv, front = pinhole(apply(m, p0), k)
-        valid[lam] = front & in_image(uv, k)
-        frame = uv.T
-        if lam:
-            np.copyto(frame, out[lam - 1], where=~valid[lam])
-        out[lam] = frame
+        for b in (slice(s, s + BLOCK) for s in range(0, p0.shape[0], BLOCK)):
+            uv, front = pinhole(apply(m, p0[b]), k)
+            valid[lam, b] = ok = front & in_image(uv, k)
+            frame = uv.T
+            if lam:
+                np.copyto(frame, out[lam - 1, :, b], where=~ok)
+            out[lam, :, b] = frame
     return valid
 
 
@@ -190,6 +195,7 @@ def normalize_tensor(ct: ControlTensor, k: Intrinsics) -> ControlTensor:
             f"normalized coordinates need an image at least 2x2, got {k.width}x{k.height}"
         )
     data = ct.data.copy()
-    data[:, 0] = 2.0 * data[:, 0] / (k.width - 1.0) - 1.0
-    data[:, 1] = 2.0 * data[:, 1] / (k.height - 1.0) - 1.0
+    for i, size in enumerate((k.width, k.height)):  # 2·u / (W - 1) - 1 in data's dtype, in place
+        c = data[:, i]
+        np.subtract(np.divide(np.multiply(2.0, c, out=c), size - 1.0, out=c), 1.0, out=c)
     return ControlTensor(data, ct.last_frame_valid.copy())

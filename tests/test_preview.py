@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from camsig import preview
 from camsig.campath import CameraPath, PrimitiveSpec, generate_primitive
 from camsig.geometry import Intrinsics, RigidMotion, unproject
 from camsig.preview import BACKGROUND, RgbdFrame, render_preview, splat_zbuffer
@@ -86,6 +87,37 @@ def test_zbuffer_tie_breaks_by_source_index():
     )
     out = render_preview(frame0, path)
     assert np.array_equal(out.frames[1][0, 1], [10, 0, 0])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_packed_colours_come_back_exactly(threads):
+    # Each colour travels as one word XORed with the background word. A
+    # point coloured BACKGROUND is still covered; black and white (the
+    # all-zero and all-one bytes) come back exactly. A pan by one pixel
+    # leaves the last pixel uncovered.
+    k = Intrinsics(fx=1.0, fy=1.0, cx=1.5, cy=0.0, width=4, height=1)
+    rgb = np.array([[[0, 0, 0], BACKGROUND, [255, 255, 255], [1, 2, 254]]], dtype=np.uint8)
+    path = CameraPath([RigidMotion.identity(), RigidMotion(np.eye(3), np.array([-1.0, 0.0, 0.0]))])
+    out = render_preview(RgbdFrame(rgb, np.ones((1, 4)), k), path, threads=threads)
+    assert np.array_equal(out.frames[0], rgb) and out.coverage[0].all()
+    assert np.array_equal(out.frames[1][0], [BACKGROUND, [255, 255, 255], [1, 2, 254], BACKGROUND])
+    assert np.array_equal(out.coverage[1][0], [True, True, True, False])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_render_splats_through_module_global_once_per_frame(monkeypatch, threads):
+    # Tracing wraps `camsig.preview.splat_zbuffer`, so each frame must call
+    # it through the module global.
+    calls = []
+    splat = preview.splat_zbuffer
+
+    def counting(points, values, k):
+        calls.append(len(points))
+        return splat(points, values, k)
+
+    monkeypatch.setattr(preview, "splat_zbuffer", counting)
+    render_preview(checker_frame(), generate_primitive(PrimitiveSpec("zoom_out", 0.8, 6)), threads=threads)
+    assert calls == [K32.height * K32.width] * 6
 
 
 def test_splat_ignores_points_projected_beyond_int64():

@@ -7,10 +7,12 @@ below as the oracle: the splat must reproduce its image and coverage bit
 for bit, for colour and depth payloads alike.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from camsig.geometry import Z_MIN, pinhole
+from camsig.geometry import Intrinsics, Z_MIN, pinhole
 from camsig.preview import splat_zbuffer
 from util import K32, K64, grid_points, random_points, rng
 
@@ -112,6 +114,46 @@ def test_no_point_in_image_gives_empty_coverage(where):
         p[:, 0] += 50.0
     coverage = assert_matches_reference(p, K32)
     assert not coverage.any()
+
+
+def test_footprint_edges_overflow_and_points_behind():
+    # With power-of-two focal lengths, a zero principal point and z = 1,
+    # each point projects to exactly its target. -0.5 is in the footprint
+    # and rounds to pixel 0; one ulp less is outside. W - 0.5 is in the
+    # footprint but rounds to column W; one ulp less rounds to W - 1.
+    k = Intrinsics(fx=2.0, fy=2.0, cx=0.0, cy=0.0, width=32, height=24)
+
+    def edges(size):
+        return [-0.5, np.nextafter(-0.5, -1.0), size - 0.5, np.nextafter(size - 0.5, 0.0)]
+
+    uv = np.array([(u, 3.0 * (i + 1)) for i, u in enumerate(edges(k.width))]
+                  + [(3.0 * (i + 1), v) for i, v in enumerate(edges(k.height))])
+    points = np.concatenate([uv / 2.0, np.ones((len(uv), 1))], axis=1)
+    assert np.array_equal(pinhole(points, k)[0], uv)
+    # A cloud over pixels [14, 28] x [14, 20], away from the edge points, and
+    # its negation, which projects to the same pixels from behind the camera.
+    gen = rng(73)
+    z = gen.uniform(1.0, 2.0, 300)
+    u, v = gen.uniform(14.0, 28.0, 300), gen.uniform(14.0, 20.0, 300)
+    inside = np.stack([u * z / 2.0, v * z / 2.0, z], axis=1)
+    behind = -inside[:100]
+    # Projections of inf and past the int64 range, and points at z = 0 and
+    # just below Z_MIN, whose projections are nan or huge.
+    overflowed = np.array([[1e308, 3.0, 1.0], [3.0, -1e308, 1.0], [1e19, 3.0, 1.0], [3.0, -1e19, 1.0],
+                           [1e300, 3.0, Z_MIN / 2.0]])
+    at_zero = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, -0.0], [0.5, 0.5, Z_MIN * (1 - 1e-15)]])
+    p = np.concatenate([points, inside, behind, overflowed, at_zero, points])
+    for values in payloads(p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            image, coverage = splat_zbuffer(p, values, k)
+        with np.errstate(invalid="ignore", over="ignore"):  # the reference casts inf to int64
+            ref_image, ref_coverage = reference_splat(p, values, k)
+        assert np.array_equal(image, ref_image) and np.array_equal(coverage, ref_coverage)
+    corners = coverage[[3, 6, 9, 12], [0, 0, 31, 31]], coverage[[0, 0, 23, 23], [3, 6, 9, 12]]
+    assert np.array_equal(corners[0], [True, False, False, True])
+    assert np.array_equal(corners[1], [True, False, False, True])
+    assert coverage[14:21, 14:29].any()
 
 
 def test_empty_cloud():

@@ -14,9 +14,9 @@ import numpy as np
 from camsig.campath import CameraPath
 from camsig.geometry import RigidMotion, Z_MIN, so3_exp, unproject
 from camsig.segmentation import _observed_projections, _per_point_errors
-from camsig.signal import _transport_channels, build_inference_signal
+from camsig.signal import BLOCK, _transport_channels, build_inference_signal
 from camsig.trajfield import TrajectoryField, grid_sample_uv, residual_g
-from util import K32, grid_points, rng, smooth_motions
+from util import K32, grid_points, random_points, rng, smooth_motions
 
 
 def reference_transport(p0, motions):
@@ -122,6 +122,30 @@ def test_transport_channels_match_batched_reference():
     assert (reference_transport(p0, motions)[-1, :, 2] < Z_MIN).any()
     assert np.array_equal(channels.reshape(want_channels.shape), want_channels)
     assert np.array_equal(valid.reshape(want_valid.shape), want_valid)
+
+
+def test_transport_channels_hold_across_block_edges():
+    # Two full blocks and a partial one. The points on both sides of each
+    # block edge are copies of points that leave the image, so their holds
+    # read the previous frame across the edge.
+    n = 2 * BLOCK + 37
+    motions = leaving_motions()
+    p0 = random_points(rng(78), n, z_range=(1.5, 2.5), spread=0.7)
+    _, first_valid = reference_transport_channels(p0, motions, K32, 1, n)
+    held_mid = np.flatnonzero(first_valid[0, 0] & ~first_valid[1:-1, 0].all(axis=0))
+    edges = [BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK]
+    p0[edges] = p0[held_mid[:4]]
+    want_channels, want_valid = reference_transport_channels(p0, motions, K32, 1, n)
+    want_valid = want_valid[:, 0]
+    # Held entries on both sides of both edges, off-image and behind the camera.
+    for a in (BLOCK, 2 * BLOCK):
+        assert (~want_valid[1:-1, a - 1] & ~want_valid[1:-1, a]).any()
+    assert (reference_transport(p0, motions)[-1, :, 2] < Z_MIN).any()
+    for dtype in (np.float64, np.float32):
+        channels = np.empty((len(motions), 2, n), dtype=dtype)
+        valid = _transport_channels(p0, motions, K32, channels)
+        assert np.array_equal(channels, want_channels[:, :, 0].astype(dtype))
+        assert np.array_equal(valid, want_valid)
 
 
 def test_inference_signal_is_reference_channels_cast_to_float32():
