@@ -21,7 +21,7 @@ from camsig.geometry import (
     unproject,
 )
 from camsig.trajfield import PixelPartition, ResidualField, TrajectoryField, residual_g
-from camsig.rigidfit import FitConfig, FitResult, NumericalError, fit_rigid, reproj_cost_grad
+from camsig.rigidfit import FitConfig, FitResult, NumericalError, fit_rigid, fit_rigid_frames, reproj_cost_grad
 from camsig.segmentation import SegmentationConfig, SegmentationResult, extract_static
 from camsig.campath import CameraPath, PrimitiveSpec, generate_primitive, load_path, save_path
 from camsig.signal import (

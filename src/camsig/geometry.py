@@ -30,6 +30,7 @@ import numpy as np
 # Points with z below this cannot be projected; near-camera points are
 # treated as invalid data rather than allowed to blow up the division.
 Z_MIN = 1e-6
+BLOCK = 16_384  # points per vectorized step, which bounds the size of its temporaries
 
 # Below this angle the closed-form Rodrigues coefficients are replaced by
 # their Taylor expansions (error < 1e-24 relative at the crossover).
@@ -198,19 +199,25 @@ def hat(w) -> np.ndarray:
     return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
 
 
+def _rodrigues(theta_sq: float) -> tuple[float, float, float]:
+    """a, b, c of exp(K) = I + aK + bK² and J_r = I - bK + cK², K = hat(w), |w|² = theta_sq."""
+    theta = math.sqrt(theta_sq)
+    if theta < _SMALL_ANGLE:
+        return (
+            1.0 - theta_sq / 6.0 + theta_sq * theta_sq / 120.0,
+            0.5 - theta_sq / 24.0 + theta_sq * theta_sq / 720.0,
+            1.0 / 6.0 - theta_sq / 120.0 + theta_sq * theta_sq / 5040.0,
+        )
+    s = math.sin(theta)
+    return s / theta, (1.0 - math.cos(theta)) / theta_sq, (theta - s) / (theta_sq * theta)
+
+
 def so3_exp(axis_angle) -> np.ndarray:
     """Rodrigues rotation from an axis-angle vector (angle = vector norm)."""
     w = np.asarray(axis_angle, dtype=float)
     if w.shape != (3,):
         raise ValueError("axis-angle must be a 3-vector")
-    theta_sq = float(w @ w)
-    theta = math.sqrt(theta_sq)
-    if theta < _SMALL_ANGLE:
-        a = 1.0 - theta_sq / 6.0 + theta_sq * theta_sq / 120.0
-        b = 0.5 - theta_sq / 24.0 + theta_sq * theta_sq / 720.0
-    else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta_sq
+    a, b, _ = _rodrigues(float(w @ w))
     k = hat(w)
     return np.eye(3) + a * k + b * (k @ k)
 
@@ -241,19 +248,19 @@ def so3_log(r: np.ndarray) -> np.ndarray:
     return theta * axis
 
 
-def so3_right_jacobian(axis_angle) -> np.ndarray:
-    """Right Jacobian of so3_exp: exp(w + d) ~ exp(w) exp(J_r(w) d)."""
-    w = np.asarray(axis_angle, dtype=float)
-    theta_sq = float(w @ w)
-    theta = math.sqrt(theta_sq)
-    if theta < _SMALL_ANGLE:
-        b = 0.5 - theta_sq / 24.0 + theta_sq * theta_sq / 720.0
-        c = 1.0 / 6.0 - theta_sq / 120.0 + theta_sq * theta_sq / 5040.0
-    else:
-        b = (1.0 - math.cos(theta)) / theta_sq
-        c = (theta - math.sin(theta)) / (theta_sq * theta)
-    k = hat(w)
-    return np.eye(3) - b * k + c * (k @ k)
+def so3_exp_batch(axis_angles) -> tuple[np.ndarray, np.ndarray]:
+    """Rotations and right Jacobians of (F, 3) axis-angle rows, each (F, 3, 3).
+
+    so3_exp's Rodrigues map over rows, with the right Jacobian J_r(w) of
+    exp(w + d) ~ exp(w) exp(J_r(w) d).
+    """
+    w = np.asarray(axis_angles, dtype=float).reshape(-1, 3)
+    a, b, c = np.array([_rodrigues(float(wi @ wi)) for wi in w]).T[:, :, None, None]
+    k = np.zeros((len(w), 3, 3))
+    k[:, 2, 1], k[:, 0, 2], k[:, 1, 0] = w.T
+    k -= k.transpose(0, 2, 1).copy()  # hat(w) per row
+    kk = k @ k
+    return np.eye(3) + a * k + b * kk, np.eye(3) - b * k + c * kk
 
 
 def is_rotation(r: np.ndarray, atol: float = 1e-9) -> bool:

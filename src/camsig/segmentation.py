@@ -1,14 +1,14 @@
 """Iterative static/dynamic region extraction from a trajectory field.
 
 Starting from the full grid, each iteration fits one rigid motion per frame
-to the current static set by reprojection least squares, measures every
-point's summed squared reprojection error under those motions, and
+to the current static set by reprojection least squares, all frames in one
+batched solve that starts each from its own previous fit, then measures
+every point's summed squared reprojection error under those motions and
 re-thresholds the static set over the whole grid (points may re-enter).
 The loop stops when the worst static-point error drops below the tolerable
 error, when the static set covers the whole grid, or when iterations run
-out. Only points visible in a frame enter that frame's fit and error sums;
-per-point sums are rescaled to the full frame count before thresholding so
-occlusion does not bias the split.
+out. Only visible points enter a frame's fit and error sums; per-point sums
+are rescaled to the full frame count so occlusion does not bias the split.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from camsig.geometry import RigidMotion, apply, pinhole, so3_log
-from camsig.rigidfit import FitConfig, UnderdeterminedFitError, fit_rigid
+from camsig.geometry import RigidMotion, apply, pinhole
+from camsig.rigidfit import FitConfig, fit_rigid_frames
+from camsig.rigidfit import fit_rigid  # noqa: F401  perfbench/tracer.py patches this name
 from camsig.trajfield import PixelPartition, TrajectoryField
 
 STATUS_CONVERGED_EPS = "converged_eps"
@@ -47,8 +48,9 @@ class SegmentationConfig:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not (self.max_iterations % 1 == 0 and self.max_iterations >= 1):
+            raise ValueError(f"max_iterations must be a positive integer, got {self.max_iterations}")
+        self.max_iterations = int(self.max_iterations)
         if not (0.0 < self.min_static_fraction < 1.0):
             raise ValueError("min_static_fraction must lie in (0, 1)")
 
@@ -95,7 +97,7 @@ def extract_static(
     config: SegmentationConfig | None = None,
     initial_static: np.ndarray | None = None,
 ) -> SegmentationResult:
-    """Split the grid into static and dynamic points with per-frame fits.
+    """Split the grid into static and dynamic points with per-frame rigid fits.
 
     `initial_static` overrides the all-static starting set (flat or (H, W)
     boolean array); the default is the whole grid.
@@ -119,6 +121,7 @@ def extract_static(
     min_count = max(int(math.ceil(cfg.min_static_fraction * n)), 6)
 
     motions = [RigidMotion.identity() for _ in range(t)]
+    params = np.zeros((t - 1, 6))
     eps_max_trace: list[float] = []
     diagnostics: list[str] = []
     status = STATUS_MAX_ITERS
@@ -126,34 +129,26 @@ def extract_static(
     err = np.zeros(n)
 
     for iteration in range(1, cfg.max_iterations + 1):
-        # Per-frame fits on the current static set. Frame 0 is pinned to the
-        # identity (zero residual by construction); each later frame warm
-        # starts from the previous frame's solution.
-        prev_motions = list(motions)
-        prev_params = np.zeros(6)
-        try:
-            for lam in range(1, t):
-                sel = static & vis[lam]
-                result = fit_rigid(field.positions[0], obs[lam], sel, k, prev_params, cfg.fit)
-                motions[lam] = result.motion
-                prev_params = np.concatenate(
-                    [so3_log(result.motion.rotation), result.motion.translation]
-                )
-                if not result.converged:
-                    diagnostics.append(
-                        f"rigid fit of frame {lam} did not converge in segmentation "
-                        f"iteration {iteration} ({result.iterations} solver iterations)"
-                    )
-        except UnderdeterminedFitError:
-            # Too few visible static points in some frame: same failure mode
-            # as the collapse guard below.
-            motions = prev_motions
+        # One batched fit of frames 1..T-1 on the current static set; frame 0
+        # is pinned to the identity. Each frame warm starts from its own
+        # parameters of the previous iteration (zero at the first).
+        sel = static & vis[1:]
+        short = np.flatnonzero(sel.sum(axis=1) < 3)
+        if short.size:
             status = STATUS_DEGENERATE
             diagnostics.append(
-                f"fewer than 3 visible static points in frame {lam}; "
+                f"fewer than 3 visible static points in frame {short[0] + 1}; "
                 "keeping previous iteration"
             )
             break
+        params, fits = fit_rigid_frames(field.positions[0], obs[1:], sel, k, params, cfg.fit)
+        motions = [RigidMotion.identity()] + [result.motion for result in fits]
+        for lam, result in enumerate(fits, start=1):
+            if not result.converged:
+                diagnostics.append(
+                    f"rigid fit of frame {lam} did not converge in segmentation "
+                    f"iteration {iteration} ({result.iterations} solver iterations)"
+                )
         iterations_used += 1
 
         err = _per_point_errors(field, motions, obs, vis_count)

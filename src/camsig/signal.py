@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from camsig.campath import CameraPath
-from camsig.geometry import Intrinsics, RigidMotion, apply, in_image, pinhole, unproject
+from camsig.geometry import BLOCK, Intrinsics, RigidMotion, apply, in_image, pinhole, unproject
 from camsig.geometry import check_first_depth
 from camsig.trajfield import ResidualField, TrajectoryField, grid_sample_uv
 
@@ -89,9 +89,6 @@ class ControlTensor:
     @property
     def num_frames(self) -> int:
         return self.data.shape[0]
-
-
-BLOCK = 16_384  # points per transport step: its temporaries stay in cache
 
 
 def _transport_channels(p0, motions, k: Intrinsics, out: np.ndarray) -> np.ndarray:

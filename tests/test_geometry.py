@@ -17,8 +17,8 @@ from camsig.geometry import (
     pinhole,
     project,
     so3_exp,
+    so3_exp_batch,
     so3_log,
-    so3_right_jacobian,
     unproject,
 )
 from util import K64, random_motion, random_rotation, random_points, rng
@@ -84,7 +84,7 @@ class TestSo3:
         h = 1e-7
         for _ in range(50):
             w = gen.normal(size=3) * 0.8
-            jr = so3_right_jacobian(w)
+            jr = so3_exp_batch(w[None])[1][0]
             # exp(w + d) ~ exp(w) exp(J_r d)
             for axis in range(3):
                 d = np.zeros(3)
@@ -93,6 +93,18 @@ class TestSo3:
                 rhs = so3_exp(w) @ so3_exp(jr @ d)
                 assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+
+    def test_batch_matches_single_rotations_on_both_branches(self):
+        # Rows on either side of the small-angle crossover, zero included.
+        gen = rng(106)
+        w = gen.normal(size=(40, 3))
+        w *= np.geomspace(1e-9, 3.0, 40)[:, None] / np.linalg.norm(w, axis=1, keepdims=True)
+        w[0] = 0.0
+        rotations, jacobians = so3_exp_batch(w)
+        assert rotations.shape == jacobians.shape == (40, 3, 3)
+        for wi, r in zip(w, rotations):
+            assert np.max(np.abs(r - so3_exp(wi))) < 1e-15
+        assert np.array_equal(rotations[0], np.eye(3)) and np.array_equal(jacobians[0], np.eye(3))
 
 class TestProjection:
     def test_optical_axis(self):

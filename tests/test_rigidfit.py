@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from camsig.geometry import Intrinsics, geodesic_angle, project, so3_exp, so3_log
-from camsig.rigidfit import FitConfig, fit_rigid, reproj_cost_grad
+from camsig.rigidfit import FitConfig, fit_rigid, fit_rigid_frames, reproj_cost_grad
 from camsig.synth import DynamicObject, SceneSpec, generate_scene
 from test_segmentation import KWIDE
 from util import K64, pan_roll_path, random_points, rng
@@ -173,6 +173,92 @@ class TestFitRigid:
         assert np.isfinite(result.motion.translation).all()
         assert np.isfinite(result.final_cost)
 
+
+    def test_config_rejects_non_finite_tolerance_and_fractional_iterations(self):
+        for tol in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="gradient tolerance"):
+                FitConfig(gradient_tolerance=tol)
+        for count in (2.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="iteration count"):
+                FitConfig(max_iterations=count)
+        assert FitConfig(max_iterations=3.0).max_iterations == 3
+        assert FitConfig(max_iterations=10**400).max_iterations == 10**400  # beyond float range
+
+
+class TestBatch:
+    def batch(self):
+        """Three frames over shared points: normal, rank deficient, far from optimum.
+
+        Frame 0 sees 400 points from near its true motion; frame 1 sees only
+        three coincident points on the optical axis, so JᵀJ has zero rows;
+        frame 2 sees the same 400 points, noisy, under a large motion.
+        """
+        gen = rng(29)
+        p_rand = random_points(gen, 400, z_range=(1.5, 4.0), spread=1.0)
+        points0 = np.concatenate([p_rand, np.tile([0.0, 0.0, 2.0], (3, 1))])
+        masks = np.zeros((3, 403), dtype=bool)
+        masks[[0, 2], :400] = True
+        masks[1, 400:] = True
+        near = np.array([0.05, -0.1, 0.08, 0.2, -0.1, 0.1])
+        far = np.array([0.5, -0.6, 0.4, 0.3, 0.2, 0.4])
+        observed = np.zeros((3, 403, 2))
+        observed[0, :400] = project(p_rand @ so3_exp(near[:3]).T + near[3:], K64)
+        observed[1, 400:] = project(points0[400:], K64) + np.array([3.0, -2.0])
+        observed[2, :400] = project(p_rand @ so3_exp(far[:3]).T + far[3:], K64)
+        observed[2, :400] += gen.normal(0.0, 1.0, size=(400, 2))
+        init = np.array([near + 1e-3, np.zeros(6), np.zeros(6)])
+        return points0, observed, masks, init
+
+    def test_rank_deficient_and_capped_frames_in_one_batch(self):
+        points0, observed, masks, init = self.batch()
+        cap = FitConfig(max_iterations=6)
+        uncapped = fit_rigid_frames(points0, observed, masks, K64, init)[1]
+        assert uncapped[0].converged and uncapped[2].converged
+        assert uncapped[0].iterations < cap.max_iterations < uncapped[2].iterations
+        assert uncapped[1].iterations == 20  # μ passes 1e16 after 20 rejected steps
+
+        params, fits = fit_rigid_frames(points0, observed, masks, K64, init, cap)
+        normal, deficient, capped = fits
+        assert normal.converged and normal.iterations == uncapped[0].iterations
+        alone_params, (alone,) = fit_rigid_frames(points0, observed[:1], masks[:1], K64, init[:1], cap)
+        assert abs(normal.final_cost - alone.final_cost) <= 1e-9 * alone.final_cost
+        assert np.allclose(params[0], alone_params[0], rtol=1e-9, atol=0.0)
+        assert deficient.converged is False and deficient.iterations == cap.max_iterations
+        assert np.array_equal(params[1], init[1]) and np.isfinite(deficient.final_cost)
+        assert np.isfinite(deficient.motion.rotation).all() and np.isfinite(deficient.motion.translation).all()
+        assert capped.converged is False and capped.iterations == cap.max_iterations
+        assert [len(f.cost_trace) for f in fits] == [f.iterations + 1 for f in fits]
+
+    def test_single_frame_fit_is_a_batch_of_one(self):
+        points0, observed, masks, init = self.batch()
+        params, (batched,) = fit_rigid_frames(points0, observed[2:], masks[2:], K64, init[2:])
+        single = fit_rigid(points0, observed[2], masks[2], K64, init[2])
+        assert single.final_cost == batched.final_cost and single.iterations == batched.iterations
+        assert np.array_equal(single.motion.translation, params[0, 3:])
+        assert np.array_equal(single.motion.rotation, so3_exp(params[0, :3]))
+
+    def test_frames_beyond_one_chunk_match_their_own_fits(self):
+        # About 7,400 selected points per frame, so each chunk holds two frames.
+        gen = rng(30)
+        points0 = random_points(gen, 8192, z_range=(1.5, 4.0), spread=1.0)
+        motions = [gen.normal(size=6) * 0.1 for _ in range(5)]
+        observed = np.stack([project(points0 @ so3_exp(m[:3]).T + m[3:], K64) for m in motions])
+        observed += gen.normal(0.0, 0.5, size=observed.shape)
+        masks = gen.random((5, 8192)) < 0.9
+        params, fits = fit_rigid_frames(points0, observed, masks, K64, np.zeros((5, 6)))
+        for f, fit in enumerate(fits):
+            alone = fit_rigid(points0, observed[f], masks[f], K64, np.zeros(6))
+            assert fit.converged and alone.converged
+            assert abs(fit.final_cost - alone.final_cost) <= 1e-9 * alone.final_cost
+            assert np.allclose(params[f, 3:], alone.motion.translation, rtol=0.0, atol=1e-9)
+
+    def test_shape_and_selection_checks(self):
+        points0, observed, masks, init = self.batch()
+        with pytest.raises(ValueError, match="equal length"):
+            fit_rigid_frames(points0[:-1], observed, masks, K64, init)
+        masks[2, 2:] = False  # two points left in frame 2
+        with pytest.raises(ValueError, match="underdetermined"):
+            fit_rigid_frames(points0, observed, masks, K64, init)
 
 def criterion2_frames(seed):
     """Per-frame fit problems of a criterion-2 scene under its true static mask."""

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from camsig.geometry import Intrinsics, geodesic_angle
+from camsig import rigidfit
+from camsig.geometry import BLOCK, Intrinsics, geodesic_angle
 from camsig.rigidfit import FitConfig
 from camsig.segmentation import (
     STATUS_CONVERGED_EPS,
@@ -13,7 +14,7 @@ from camsig.segmentation import (
 )
 from camsig.synth import DynamicObject, SceneSpec, generate_scene
 from camsig.trajfield import TrajectoryField
-from util import K32, pan_roll_path, rng, smooth_motions, transported_field
+from util import K32, K64, pan_roll_path, rng, smooth_motions, transported_field
 
 KWIDE = Intrinsics(fx=20.0, fy=20.0, cx=15.5, cy=15.5, width=32, height=32)
 
@@ -125,6 +126,79 @@ def test_unconverged_fit_reported():
     ]
 
 
+
+def test_unconverged_fits_reported_in_frame_order_with_own_counts(monkeypatch):
+    gt, _ = quad_object_scene(frames=8)
+    config = SegmentationConfig(max_iterations=2, fit=FitConfig(max_iterations=1))
+    result = extract_static(gt.field, config)
+    reported = [d for d in result.diagnostics if d.startswith("rigid fit")]
+    assert reported[:7] == [
+        f"rigid fit of frame {lam} did not converge in segmentation iteration 1 (1 solver iterations)"
+        for lam in range(1, 8)
+    ]
+    later = [int(d.split()[4]) for d in reported[7:]]
+    assert later == sorted(later) and all("iteration 2 (1 solver iterations)" in d for d in reported[7:])
+
+    # With a cap some frames reach, each unconverged frame reports its own count.
+    counts = []
+    solve = rigidfit._lm_chunk
+
+    def recording(*args):
+        fits = solve(*args)
+        counts.extend((fit.iterations, fit.converged) for fit in fits)
+        return fits
+
+    monkeypatch.setattr(rigidfit, "_lm_chunk", recording)
+    capped = SegmentationConfig(max_iterations=1, fit=FitConfig(max_iterations=8))
+    result = extract_static(gt.field, capped)
+    assert {conv for _, conv in counts} == {True, False}
+    assert result.diagnostics == [
+        f"rigid fit of frame {lam} did not converge in segmentation iteration 1 ({n} solver iterations)"
+        for lam, (n, conv) in enumerate(counts, start=1) if not conv
+    ]
+
+
+def test_underdetermined_names_the_first_short_frame():
+    gen = rng(33)
+    field = transported_field(K32, smooth_motions(6, gen), gen=gen)
+    initial = np.zeros(field.num_points, dtype=bool)
+    initial[[40, 200, 500, 700]] = True
+    vis = field.visibility.copy()
+    vis[3, [200, 500]] = False  # frames 3 and 5 keep fewer than 3 of the 4
+    vis[5, [40, 700]] = False
+    field = TrajectoryField(field.positions, vis, field.grid_h, field.grid_w, K32)
+    result = extract_static(field, initial_static=initial)
+    assert result.status == STATUS_DEGENERATE and result.iterations_used == 0
+    assert result.diagnostics == [
+        "fewer than 3 visible static points in frame 3; keeping previous iteration"
+    ]
+
+
+def test_one_solver_call_per_chunk_never_per_frame(monkeypatch):
+    calls = []
+    solve = rigidfit._lm_chunk
+
+    def counting(p, ov, wt, k, x, cfg):
+        calls.append((len(x), p.shape[2]))
+        return solve(p, ov, wt, k, x, cfg)
+
+    monkeypatch.setattr(rigidfit, "_lm_chunk", counting)
+    gt, _ = quad_object_scene(frames=12)
+    result = extract_static(gt.field)
+    assert [f for f, _ in calls] == [11] * result.iterations_used  # 11 x 1,024 points: one chunk
+
+    calls.clear()
+    spec = SceneSpec(
+        frames=13, grid_h=64, grid_w=64, intrinsics=K64, z_near=1.8, z_far=2.2,
+        depth_jitter=0.2, seed=5,
+        objects=[DynamicObject(center=(16.0, 16.0), radius=9.0, velocity=(0.05, 0.0, 0.0))],
+    )
+    field = generate_scene(spec, pan_roll_path(13, pan=0.25, roll=0.15)).field
+    result = extract_static(field)
+    assert sum(f for f, _ in calls) == 12 * result.iterations_used
+    assert all(f * m <= BLOCK for f, m in calls)
+    assert result.iterations_used < len(calls) < 12 * result.iterations_used
+
 def test_max_iters_status():
     gt, _ = quad_object_scene()
     result = extract_static(gt.field, SegmentationConfig(max_iterations=1))
@@ -188,6 +262,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SegmentationConfig(min_static_fraction=0.0)
 
+
+
+def test_config_rejects_fractional_max_iterations():
+    for count in (2.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SegmentationConfig(max_iterations=count)
+    assert SegmentationConfig(max_iterations=2.0).max_iterations == 2
+    assert SegmentationConfig(max_iterations=10**400).max_iterations == 10**400  # --max-iters is any int
 
 def test_needs_two_frames():
     gen = rng(32)
