@@ -27,12 +27,9 @@ from camsig.campath import CameraPath, PrimitiveSpec, generate_primitive, load_p
 from camsig.signal import (
     ControlTensor,
     MotionStrengthSeries,
-    TrajectoryChannels,
     build_inference_signal,
+    control_tensor,
     motion_strength,
-    pack_tensor,
-    point_trajectory,
-    unpack_tensor,
 )
 from camsig.preview import PreviewFrames, RgbdFrame, render_preview
 from camsig.synth import DynamicObject, GroundTruth, SceneSpec, generate_scene

@@ -27,10 +27,9 @@ from camsig.campath import (
     motion_to_dict,
     save_path,
 )
-from camsig.geometry import Intrinsics, check_depth_size, check_first_depth, in_image, project
+from camsig.geometry import FLOAT32_MAX, Intrinsics, check_depth_size, check_first_depth, in_image, project
 from camsig.geometry import read_json, write_json
 from camsig.io import (
-    FLOAT32_MAX,
     Tracks,
     assemble_field,
     read_correspondences,
@@ -51,13 +50,7 @@ from camsig.segmentation import (
     SegmentationConfig,
     extract_static,
 )
-from camsig.signal import (
-    build_inference_signal,
-    motion_strength,
-    normalize_tensor,
-    pack_tensor,
-    point_trajectory,
-)
+from camsig.signal import build_inference_signal, control_tensor, motion_strength, normalize_tensor
 from camsig.synth import generate_scene, scene_from_dict, scene_to_dict
 from camsig.trajfield import residual_g
 
@@ -205,9 +198,11 @@ def cmd_signal_from_video(args) -> int:
     field, result = _extract(args)
     if _refuse_degenerate(args, result):
         return 3
-    traj = point_trajectory(field, result.motions)
-    strength = motion_strength(residual_g(field, result.motions))
-    tensor = pack_tensor(traj, strength)
+    with _blame(args.tracks):
+        strength = motion_strength(residual_g(field, result.motions))
+        tensor = control_tensor(
+            field.positions[0], result.motions, field.intrinsics, strength.m, (field.grid_h, field.grid_w)
+        )
     write_tensor(args.out, tensor)
     _write_json(
         Path(args.out).with_suffix(".m.json"),

@@ -31,6 +31,7 @@ import numpy as np
 # treated as invalid data rather than allowed to blow up the division.
 Z_MIN = 1e-6
 BLOCK = 16_384  # points per vectorized step, which bounds the size of its temporaries
+FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest value the binary formats store
 
 # Below this angle the closed-form Rodrigues coefficients are replaced by
 # their Taylor expansions (error < 1e-24 relative at the crossover).

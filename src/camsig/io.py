@@ -38,7 +38,6 @@ logger = logging.getLogger(__name__)
 MAGIC_DEPTH = b"TCD1"
 MAGIC_TRACKS = b"TCT1"
 MAGIC_TENSOR = b"TCS1"
-FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest value the binary formats store
 
 _TRACK_RECORD = np.dtype([("u", "<f4"), ("v", "<f4"), ("visible", "u1")])
 

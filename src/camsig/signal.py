@@ -1,10 +1,10 @@
-"""Control-signal construction: trajectory channels, motion strength, packing.
+"""Control-signal construction: motion strength and the control tensor.
 
 The dense control signal is the projected trajectory of the first frame's
 points rigidly transported by each frame's motion (two absolute-pixel
 channels) plus a per-frame scalar motion strength tiled to a third channel.
-Training-side signals come from trajectory fields; inference-side signals
-come from a first-frame depth map, a user camera path, and a user strength.
+`control_tensor` builds it in float32 for training signals (a trajectory
+field) and inference signals (a depth map, a camera path, a user strength).
 """
 
 from __future__ import annotations
@@ -15,30 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from camsig.campath import CameraPath
-from camsig.geometry import BLOCK, Intrinsics, RigidMotion, apply, in_image, pinhole, unproject
+from camsig.geometry import BLOCK, FLOAT32_MAX, Intrinsics, RigidMotion, apply, in_image, pinhole, unproject
 from camsig.geometry import check_first_depth
 from camsig.trajfield import ResidualField, TrajectoryField, grid_sample_uv
-
-
-@dataclass(eq=False)
-class TrajectoryChannels:
-    """(T, 2, H, W) projected point positions, channel 0 = u, channel 1 = v.
-
-    Entries whose transported point leaves the view frustum hold the last
-    valid frame's value and are flagged invalid in `valid` (T, H, W).
-    """
-
-    channels: np.ndarray
-    valid: np.ndarray
-
-    def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=float)
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.channels.ndim != 4 or self.channels.shape[1] != 2:
-            raise ValueError("channels must have shape (T, 2, H, W)")
-        t, _, h, w = self.channels.shape
-        if self.valid.shape != (t, h, w):
-            raise ValueError("validity shape does not match channels")
 
 
 @dataclass(eq=False)
@@ -67,7 +46,7 @@ class MotionStrengthSeries:
 
 @dataclass(eq=False)
 class ControlTensor:
-    """(T, 3, H, W) packed control signal: u, v, tiled motion strength.
+    """(T, 3, H, W) float32 control signal: u, v, tiled motion strength.
 
     `last_frame_valid` carries the frustum mask of the final frame's
     channels, matching what the binary format stores.
@@ -77,9 +56,7 @@ class ControlTensor:
     last_frame_valid: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data)
-        if self.data.dtype != np.float32:
-            self.data = self.data.astype(float, copy=False)
+        self.data = np.asarray(self.data, dtype=np.float32)
         self.last_frame_valid = np.asarray(self.last_frame_valid, dtype=bool)
         if self.data.ndim != 4 or self.data.shape[1] != 3:
             raise ValueError("control tensor must have shape (T, 3, H, W)")
@@ -110,15 +87,30 @@ def _transport_channels(p0, motions, k: Intrinsics, out: np.ndarray) -> np.ndarr
     return valid
 
 
-def point_trajectory(field: TrajectoryField, motions: Sequence[RigidMotion]) -> TrajectoryChannels:
-    """Trajectory channels of the field's frame-0 grid under the motions."""
-    path = CameraPath(motions)
-    t, gh, gw = field.num_frames, field.grid_h, field.grid_w
-    if len(path) != t:
-        raise ValueError("frame count mismatch")
-    channels = np.empty((t, 2, gh, gw))
-    valid = _transport_channels(field.positions[0], path.motions, field.intrinsics, channels.reshape(t, 2, -1))
-    return TrajectoryChannels(channels, valid.reshape(t, gh, gw))
+def _checked_strength(m) -> np.ndarray:
+    """m as float64, once every value is known to fit the float32 strength channel."""
+    m = np.asarray(m, dtype=float)
+    bad = ~((m >= 0.0) & (m <= FLOAT32_MAX))  # NaN fails too
+    if bad.any():
+        raise ValueError(f"motion strength must be a float32 value >= 0, got {m[bad][0]}")
+    return m
+
+
+def control_tensor(p0, motions: Sequence[RigidMotion], k: Intrinsics, m, grid) -> ControlTensor:
+    """Control tensor of the points p0 (N, 3) under the motions, with strength m.
+
+    m is the (T,) strength series, tiled into channel 2, and grid is the
+    (H, W) layout of the N points. The tensor is float32, as TCS1 stores
+    it, and is filled frame by frame; m is range-checked before any cast.
+    """
+    motions = CameraPath(motions).motions
+    m = _checked_strength(m)
+    if m.shape != (len(motions),):
+        raise ValueError("frame count mismatch between motions and strength")
+    data = np.empty((len(motions), 3, p0.shape[0]), dtype=np.float32)
+    valid = _transport_channels(p0, motions, k, data[:, :2])
+    data[:, 2] = m[:, None]
+    return ControlTensor(data.reshape(-1, 3, *grid), valid[-1].reshape(grid))
 
 
 def motion_strength(g: ResidualField) -> MotionStrengthSeries:
@@ -140,24 +132,19 @@ def motion_strength(g: ResidualField) -> MotionStrengthSeries:
     return MotionStrengthSeries(m, no_overlap)
 
 
-def pack_tensor(traj: TrajectoryChannels, m: MotionStrengthSeries) -> ControlTensor:
-    """Concatenate trajectory channels with the tiled strength channel."""
-    t = traj.channels.shape[0]
-    if m.m.shape[0] != t:
-        raise ValueError("frame count mismatch between channels and strength")
-    data = np.empty((t, 3) + traj.channels.shape[2:])
-    data[:, :2] = traj.channels
-    data[:, 2] = m.m[:, None, None]
-    return ControlTensor(data, traj.valid[-1].copy())
+# point_trajectory and pack_tensor are kept only for perfbench: its segment
+# workloads call both, and its tracer patches pack_tensor by name. ROADMAP
+# item 1's benchmark-only change deletes them.
+def point_trajectory(field: TrajectoryField, motions: Sequence[RigidMotion]) -> ControlTensor:
+    """The field's control tensor with a zero strength channel."""
+    grid = (field.grid_h, field.grid_w)
+    return control_tensor(field.positions[0], motions, field.intrinsics, np.zeros(field.num_frames), grid)
 
 
-def unpack_tensor(ct: ControlTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Split a packed tensor back into (T, 2, H, W) channels and (T,) strength."""
-    strength_channel = ct.data[:, 2]
-    m = strength_channel[:, 0, 0].copy()
-    if np.any(strength_channel != m[:, None, None]):
-        raise ValueError("strength channel is not constant per frame")
-    return ct.data[:, :2].copy(), m
+def pack_tensor(ct: ControlTensor, m: MotionStrengthSeries) -> ControlTensor:
+    """Fill ct's strength channel with the series, in place, and return ct."""
+    ct.data[:, 2] = _checked_strength(m.m)[:, None, None]
+    return ct
 
 
 def build_inference_signal(
@@ -167,18 +154,13 @@ def build_inference_signal(
 
     The point set is every pixel center of depth0 lifted at its depth; the
     user strength is applied uniformly to frames 1..T-1 with frame 0 zero.
-    The tensor is float32, as TCS1 stores it, and is filled frame by frame.
     """
-    if not 0.0 <= m_user <= float(np.finfo(np.float32).max):  # NaN fails too
-        raise ValueError(f"motion strength must be a float32 value >= 0, got {m_user}")
+    m = np.full(len(path), _checked_strength(m_user))  # checked here: a one-frame path never holds it
+    m[0] = 0.0
     depth = check_first_depth(depth0, k)
     h, w = depth.shape
     p0 = unproject(grid_sample_uv(h, w, k), depth.ravel(), k)
-    data = np.empty((len(path), 3, h * w), dtype=np.float32)
-    valid = _transport_channels(p0, path.motions, k, data[:, :2])
-    data[0, 2] = 0.0
-    data[1:, 2] = m_user
-    return ControlTensor(data.reshape(-1, 3, h, w), valid[-1].reshape(h, w))
+    return control_tensor(p0, path.motions, k, m, (h, w))
 
 
 def normalize_tensor(ct: ControlTensor, k: Intrinsics) -> ControlTensor:
@@ -192,7 +174,7 @@ def normalize_tensor(ct: ControlTensor, k: Intrinsics) -> ControlTensor:
             f"normalized coordinates need an image at least 2x2, got {k.width}x{k.height}"
         )
     data = ct.data.copy()
-    for i, size in enumerate((k.width, k.height)):  # 2·u / (W - 1) - 1 in data's dtype, in place
+    for i, size in enumerate((k.width, k.height)):  # 2·u / (W - 1) - 1 in float32, in place
         c = data[:, i]
         np.subtract(np.divide(np.multiply(2.0, c, out=c), size - 1.0, out=c), 1.0, out=c)
     return ControlTensor(data, ct.last_frame_valid.copy())

@@ -138,6 +138,33 @@ def test_signal_from_video_pipeline(tmp_path):
     assert all(v > 0.0 for v in m_doc["m"][1:])
 
 
+def test_signal_from_video_strength_beyond_float32_is_data_error(tmp_path, capsys):
+    # One far track entry and one far depth sample give frame 2 a residual
+    # speed of about 2e72: it must be refused before the float32 cast.
+    scene, path, out = tmp_path / "scene.json", tmp_path / "path.json", tmp_path / "synth"
+    write_scene(scene, frames=4)
+    save_path(generate_primitive(PrimitiveSpec("pan_left", 0.1, 4)), path)
+    assert main(["synth", "--scene", str(scene), "--path", str(path), "--out", str(out)]) == 0
+    tracks_file = out / "tracks.tct"
+    tracks = read_tracks(tracks_file)
+    tracks.uv[2, 0, 0] = 3e38
+    tracks.visible[2, 0] = True
+    write_tracks(tracks_file, tracks)
+    depth = read_depth(out / "depth_0002.tcd")
+    depth[0, 31] = 3e38
+    write_depth(out / "depth_0002.tcd", depth)
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    tensor_file = tmp_path / "signal.tcs"
+    argv = ["signal-from-video", *segment_argv(tracks_file, out, k_file)[1:], "--out", str(tensor_file)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tracks_file}: motion strength must be a float32 value >= 0, got ")
+    assert "Traceback" not in err
+    assert not tensor_file.exists()
+    assert not tensor_file.with_suffix(".m.json").exists()
+
+
 def test_signal_from_path_strength_600(tmp_path):
     depth_file = tmp_path / "d.tcd"
     write_depth(depth_file, np.full((K32.height, K32.width), 3.0))

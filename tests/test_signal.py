@@ -6,36 +6,46 @@ import pytest
 from camsig.campath import CameraPath, PrimitiveSpec, generate_primitive
 from camsig.geometry import Intrinsics, RigidMotion, project
 from camsig.signal import (
-    ControlTensor,
     MotionStrengthSeries,
+    _transport_channels,
     build_inference_signal,
+    control_tensor,
     motion_strength,
     normalize_tensor,
-    pack_tensor,
-    point_trajectory,
-    unpack_tensor,
 )
 from camsig.synth import DynamicObject, SceneSpec, generate_scene
 from camsig.trajfield import ResidualField, grid_sample_uv, residual_g
 from util import K32, identity_motions, pan_roll_path, rng, smooth_motions, transported_field
 
 
+def field_tensor(field, motions, m=None):
+    """control_tensor of the field's frame-0 grid (zero strength by default) and
+    its (T, H, W) per-frame validity, as `_transport_channels` returns it."""
+    p0, k, grid = field.positions[0], field.intrinsics, (field.grid_h, field.grid_w)
+    m = np.zeros(len(motions)) if m is None else m
+    ct = control_tensor(p0, motions, k, m, grid)
+    valid = _transport_channels(p0, motions, k, np.empty((len(motions), 2, p0.shape[0]), np.float32))
+    assert np.array_equal(ct.last_frame_valid, valid[-1].reshape(grid))
+    return ct, valid.reshape(-1, *grid)
+
+
 def test_identity_path_channels_equal_grid():
     gen = rng(40)
     motions = identity_motions(5)
     field = transported_field(K32, motions, jitter=0.2, gen=gen)
-    traj = point_trajectory(field, motions)
-    grid = grid_sample_uv(K32.height, K32.width, K32)
+    ct, valid = field_tensor(field, motions)
+    grid = grid_sample_uv(K32.height, K32.width, K32).astype(np.float32)
     expected_u = grid[:, 0].reshape(K32.height, K32.width)
     expected_v = grid[:, 1].reshape(K32.height, K32.width)
     for lam in range(5):
-        assert np.max(np.abs(traj.channels[lam, 0] - expected_u)) < 1e-9
-        assert np.max(np.abs(traj.channels[lam, 1] - expected_v)) < 1e-9
-    assert traj.valid.all()
+        assert np.max(np.abs(ct.data[lam, 0] - expected_u)) < 1e-9
+        assert np.max(np.abs(ct.data[lam, 1] - expected_v)) < 1e-9
+    assert valid.all()
 
 
 def test_pure_translation_uniform_pixel_shift():
-    # Fronto-parallel plane at constant depth: u shifts by fx * dx / z.
+    # Fronto-parallel plane at constant depth: u shifts by fx * dx / z. The
+    # tensor is float32, so the shifted position is compared after its cast.
     z = 10.0
     dx = 0.25
     motions = [
@@ -43,11 +53,11 @@ def test_pure_translation_uniform_pixel_shift():
         RigidMotion(np.eye(3), np.array([dx, 0.0, 0.0])),
     ]
     field = transported_field(K32, motions, z_base=z)
-    traj = point_trajectory(field, motions)
-    ok = traj.valid[1]  # the rightmost column exits the frustum
-    shift = traj.channels[1, 0] - traj.channels[0, 0]
-    assert np.max(np.abs(shift[ok] - K32.fx * dx / z)) < 1e-9
-    assert np.max(np.abs((traj.channels[1, 1] - traj.channels[0, 1])[ok])) < 1e-9
+    ct, valid = field_tensor(field, motions)
+    ok = valid[1]  # the rightmost column exits the frustum
+    shifted = (ct.data[0, 0].astype(float) + K32.fx * dx / z).astype(np.float32)
+    assert np.max(np.abs(ct.data[1, 0][ok] - shifted[ok])) < 1e-9
+    assert np.max(np.abs((ct.data[1, 1] - ct.data[0, 1])[ok])) < 1e-9
 
 
 def test_channels_match_generator_projection_oracle():
@@ -59,14 +69,14 @@ def test_channels_match_generator_projection_oracle():
         seed=9,
     )
     gt = generate_scene(spec, path)
-    traj = point_trajectory(gt.field, list(path.motions))
+    ct, valid = field_tensor(gt.field, list(path.motions))
     # The oracle transports every frame-0 point rigidly, ignoring dynamics.
     for lam in range(6):
         transported = gt.field.positions[0] @ path[lam].rotation.T + path[lam].translation
-        uv = project(transported, K32)
-        flat = traj.channels[lam].reshape(2, -1).T
-        valid = traj.valid[lam].ravel()
-        assert np.max(np.abs(flat[valid] - uv[valid])) < 1e-9
+        uv = project(transported, K32).astype(np.float32)
+        flat = ct.data[lam, :2].reshape(2, -1).T
+        ok = valid[lam].ravel()
+        assert np.max(np.abs(flat[ok] - uv[ok])) < 1e-9
 
 
 def test_out_of_frustum_holds_last_valid_value():
@@ -78,11 +88,11 @@ def test_out_of_frustum_holds_last_valid_value():
     for lam in range(1, t):
         motions.append(RigidMotion(np.eye(3), np.array([-0.5 * lam, 0.0, 0.0])))
     field = transported_field(K32, motions, z_base=z)
-    traj = point_trajectory(field, motions)
-    assert not traj.valid[-1].all()
-    frozen = ~traj.valid[2] & ~traj.valid[3]
+    ct, valid = field_tensor(field, motions)
+    assert not valid[-1].all()
+    frozen = ~valid[2] & ~valid[3]
     assert frozen.any()
-    assert np.array_equal(traj.channels[3, 0][frozen], traj.channels[2, 0][frozen])
+    assert np.array_equal(ct.data[3, 0][frozen], ct.data[2, 0][frozen])
 
 
 def test_motion_strength_static_zero():
@@ -121,35 +131,33 @@ def test_motion_strength_no_overlap_flag():
     assert not series.no_overlap[0]
 
 
-def test_pack_unpack_roundtrip_bitwise():
+def test_strength_channel_tiles_series_bitwise():
     gen = rng(42)
-    t, h, w = 5, 8, 9
-    channels = gen.uniform(0.0, 30.0, size=(t, 2, h, w))
-    valid = gen.uniform(size=(t, h, w)) > 0.2
+    t = 5
+    motions = smooth_motions(t, gen)
+    field = transported_field(K32, motions, jitter=0.2, gen=gen)
     m = np.abs(gen.normal(size=t))
     m[0] = 0.0
-    traj_channels = channels.copy()
-    traj = __import__("camsig.signal", fromlist=["TrajectoryChannels"]).TrajectoryChannels(
-        traj_channels, valid
-    )
-    series = MotionStrengthSeries(m, np.zeros(t, dtype=bool))
-    ct = pack_tensor(traj, series)
-    assert ct.data.shape == (t, 3, h, w)
-    back_channels, back_m = unpack_tensor(ct)
-    assert np.array_equal(back_channels, channels)
-    assert np.array_equal(back_m, m)
-    assert np.array_equal(ct.last_frame_valid, valid[-1])
-    # Channel 2 is constant per frame and equals the series.
-    assert np.array_equal(ct.data[:, 2, 0, 0], m)
-    assert all(np.all(ct.data[lam, 2] == m[lam]) for lam in range(t))
+    ct, valid = field_tensor(field, motions, m)
+    assert ct.data.dtype == np.float32 and ct.data.shape == (t, 3, K32.height, K32.width)
+    # Channel 2 is constant per frame and equals the float32 cast of the series.
+    assert np.array_equal(ct.data[:, 2, 0, 0], m.astype(np.float32))
+    assert all(np.all(ct.data[lam, 2] == m.astype(np.float32)[lam]) for lam in range(t))
+    # The strength does not touch the pixel channels.
+    assert np.array_equal(ct.data[:, :2], field_tensor(field, motions)[0].data[:, :2])
 
 
-def test_unpack_rejects_nonconstant_strength_channel():
-    data = np.zeros((2, 3, 4, 4))
-    data[1, 2, 0, 0] = 1.0
-    ct = ControlTensor(data, np.ones((4, 4), dtype=bool))
-    with pytest.raises(ValueError, match="not constant"):
-        unpack_tensor(ct)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 1e39])
+def test_control_tensor_rejects_non_float32_strength(bad):
+    field = transported_field(K32, identity_motions(3))
+    with pytest.raises(ValueError, match="motion strength must be a float32 value >= 0"):
+        field_tensor(field, identity_motions(3), np.array([0.0, 1.0, bad]))
+
+
+def test_control_tensor_rejects_frame_count_mismatch():
+    field = transported_field(K32, identity_motions(3))
+    with pytest.raises(ValueError, match="frame count mismatch"):
+        field_tensor(field, identity_motions(3), np.zeros(2))
 
 
 def test_inference_signal_strength_values():
@@ -192,13 +200,13 @@ def test_projective_scale_invariance():
     s = 2.75
     motions = smooth_motions(5, gen)
     field = transported_field(K32, motions, jitter=0.2, gen=gen)
-    traj_a = point_trajectory(field, motions)
+    ct_a, _ = field_tensor(field, motions)
     scaled_motions = [
         RigidMotion(m.rotation, m.translation * s) for m in motions
     ]
     scaled_field = transported_field(K32, scaled_motions, p0=field.positions[0] * s)
-    traj_b = point_trajectory(scaled_field, scaled_motions)
-    assert np.max(np.abs(traj_a.channels - traj_b.channels)) < 1e-9
+    ct_b, _ = field_tensor(scaled_field, scaled_motions)
+    assert np.max(np.abs(ct_a.data - ct_b.data)) < 1e-9
 
 
 def test_normalize_tensor_range():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from camsig.geometry import RigidMotion, so3_exp
-from camsig.signal import point_trajectory
+from camsig.signal import control_tensor
 from camsig.trajfield import TrajectoryField, grid_sample_uv, residual_g
 from util import K32, identity_motions, rng, smooth_motions, transported_field
 
@@ -81,9 +81,10 @@ def test_non_identity_frame0_rejected():
         RigidMotion(np.eye(3), np.array([1e-13, 0.0, 0.0])),
     ):
         bad = [first] + list(motions[1:])
-        for check in (residual_g, point_trajectory):
-            with pytest.raises(ValueError, match="frame-0 motion must be identity"):
-                check(field, bad)
+        with pytest.raises(ValueError, match="frame-0 motion must be identity"):
+            residual_g(field, bad)
+        with pytest.raises(ValueError, match="frame-0 motion must be identity"):
+            control_tensor(field.positions[0], bad, K32, np.zeros(3), (field.grid_h, field.grid_w))
 
 
 def test_frame_count_mismatch_rejected():
