@@ -251,10 +251,7 @@ def cmd_preview(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for lam in range(len(path)):
         write_ppm(out / f"preview_{lam:04d}.ppm", rendered.frames[lam])
-        write_pgm(
-            out / f"coverage_{lam:04d}.pgm",
-            np.where(rendered.coverage[lam], 255, 0).astype(np.uint8),
-        )
+        write_pgm(out / f"coverage_{lam:04d}.pgm", np.multiply(rendered.coverage[lam], 255, dtype=np.uint8))
     return 0
 
 

@@ -274,23 +274,25 @@ def is_rotation(r: np.ndarray, atol: float = 1e-9) -> bool:
     return abs(float(np.linalg.det(r)) - 1.0) <= atol
 
 
-def pinhole(points, k: Intrinsics) -> tuple[np.ndarray, np.ndarray]:
+def pinhole(points, k: Intrinsics, *, buffer=None) -> tuple[np.ndarray, np.ndarray]:
     """Pinhole projection without raising: (uv, front) over (..., 3) points.
 
     front is z >= Z_MIN; uv is undefined where front is False and ±inf
     where it overflows, which is never inside the image. uv = fx·x / z + cx
     (and fy·y / z + cy) from whole columns, as a view of a (2, ...) buffer.
+    buffer is an optional (cols, front) pair, a float64 (2, ...) and a bool
+    (...) array, that receives the results in place of new arrays.
     """
     p = np.asarray(points, dtype=float)
     z = p[..., 2]
-    cols = np.empty((2,) + z.shape)
+    cols, front = buffer if buffer is not None else (np.empty((2,) + z.shape), None)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i, (f, c) in enumerate(((k.fx, k.cx), (k.fy, k.cy))):
             col = cols[i, ...]  # a writable view even for a single point
             np.multiply(f, p[..., i], out=col)
             col /= z
             col += c
-    return np.moveaxis(cols, 0, -1), z >= Z_MIN
+    return np.moveaxis(cols, 0, -1), np.greater_equal(z, Z_MIN, out=front)
 
 
 def project(points, k: Intrinsics) -> np.ndarray:
@@ -301,11 +303,20 @@ def project(points, k: Intrinsics) -> np.ndarray:
     return pinhole(p, k)[0]
 
 
-def in_image(uv, k: Intrinsics) -> np.ndarray:
-    """Image-footprint test; pixel areas reach half a pixel past the centers."""
+def in_image(uv, k: Intrinsics, *, buffer=None) -> np.ndarray:
+    """Image-footprint test; pixel areas reach half a pixel past the centers.
+
+    buffer is an optional (ok, scratch) pair of bool arrays of uv's leading
+    shape: the result is written into ok.
+    """
     u = uv[..., 0]
     v = uv[..., 1]
-    return (u >= -0.5) & (u <= k.width - 0.5) & (v >= -0.5) & (v <= k.height - 0.5)
+    ok, test = buffer if buffer is not None else (np.empty(u.shape, bool), np.empty(u.shape, bool))
+    np.greater_equal(u, -0.5, out=ok)
+    ok &= np.less_equal(u, k.width - 0.5, out=test)
+    ok &= np.greater_equal(v, -0.5, out=test)
+    ok &= np.less_equal(v, k.height - 0.5, out=test)
+    return ok
 
 
 def unproject(px, depth, k: Intrinsics) -> np.ndarray:
@@ -321,7 +332,7 @@ def unproject(px, depth, k: Intrinsics) -> np.ndarray:
     return np.moveaxis(cols, 0, -1)
 
 
-def apply(m: RigidMotion, points) -> np.ndarray:
+def apply(m: RigidMotion, points, *, buffer=None) -> np.ndarray:
     """Transform points by a rigid motion: R @ p + t, vectorized over (..., 3).
 
     Each output coordinate is computed from whole coordinate columns as
@@ -333,12 +344,13 @@ def apply(m: RigidMotion, points) -> np.ndarray:
     `points`. (einsum itself sums strided triples in another order.) Matmul
     stays out: BLAS fuses multiply-adds, which changes the last bits.
     Columns are read fastest when contiguous, as in the transpose of a
-    (3, N) array. The result is a view of a (3, ...) buffer.
+    (3, N) array. The result is a view of a (3, ...) buffer. buffer is an
+    optional (cols, term) pair of float64 arrays, (3, ...) and (...): the
+    result is written into cols, and term is scratch.
     """
     p = np.asarray(points, dtype=float)
     r, t = m.rotation, m.translation
-    cols = np.empty((3,) + p.shape[:-1])
-    term = np.empty(p.shape[:-1])
+    cols, term = buffer if buffer is not None else (np.empty((3,) + p.shape[:-1]), np.empty(p.shape[:-1]))
     for i in range(3):
         col = cols[i, ...]  # a writable view even for a single point
         np.multiply(r[i, 0], p[..., 0], out=col)

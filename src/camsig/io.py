@@ -77,12 +77,14 @@ class Tracks:
 
 def _read_binary(file, magic: bytes, header: str, body_size) -> tuple:
     """Header fields and writable body of a magic-tagged file; body_size(*fields) is exact."""
-    with open(file, "rb") as fh:  # into a bytearray, so arrays that view it are writable
-        data = bytearray(os.fstat(fh.fileno()).st_size)  # 0 for a pipe
-        n = fh.readinto(data)
-        data[n:] = fh.read()  # the rest of a pipe, or nothing
+    with open(file, "rb") as fh:  # into an uninitialised array, which readinto fills
+        data = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)  # 0 for a pipe
+        data = data[: fh.readinto(data)]
+        rest = fh.read()  # the rest of a pipe, or nothing
+    if rest:
+        data = np.concatenate([data, np.frombuffer(rest, dtype=np.uint8)])
     start = len(magic) + struct.calcsize(header)
-    if len(data) >= len(magic) and data[: len(magic)] != magic:
+    if len(data) >= len(magic) and data[: len(magic)].tobytes() != magic:
         raise FormatError("unrecognized format")
     if len(data) < start:
         raise FormatError(f"truncated at byte {len(data)}")
@@ -98,13 +100,20 @@ def _check_size(data: bytes, expected: int):
         raise FormatError(f"size mismatch: expected {expected} bytes, got {len(data)}")
 
 
+def _write_parts(file, header: bytes, *arrays) -> None:
+    """Write the header, then each array's C-order bytes from its own buffer: no joined copy."""
+    with open(file, "wb") as fh:
+        fh.write(header)
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array))
+
+
 def write_depth(file, depth: np.ndarray) -> None:
     d = np.asarray(depth)
     if d.ndim != 2:
         raise ValueError("depth map must be 2-D")
     h, w = d.shape
-    payload = struct.pack("<II", w, h) + d.astype("<f4").tobytes()
-    Path(file).write_bytes(MAGIC_DEPTH + payload)
+    _write_parts(file, MAGIC_DEPTH + struct.pack("<II", w, h), np.asarray(d, dtype="<f4"))
 
 
 def read_depth(file) -> np.ndarray:
@@ -123,7 +132,7 @@ def write_tracks(file, tracks: Tracks) -> None:
     records["u"] = tracks.uv[..., 0].astype("<f4").ravel()
     records["v"] = tracks.uv[..., 1].astype("<f4").ravel()
     records["visible"] = tracks.visible.astype("u1").ravel()
-    Path(file).write_bytes(MAGIC_TRACKS + struct.pack("<II", t, n) + records.tobytes())
+    _write_parts(file, MAGIC_TRACKS + struct.pack("<II", t, n), records)
 
 
 def read_tracks(file) -> Tracks:
@@ -143,14 +152,12 @@ def read_tracks(file) -> Tracks:
 
 def write_tensor(file, ct: ControlTensor) -> None:
     t, c, h, w = ct.data.shape
-    header = MAGIC_TENSOR + struct.pack("<IIII", t, c, h, w)
-    # Written from the arrays' buffers: no bytes copy of the float32 body.
-    body = np.ascontiguousarray(ct.data, dtype="<f4")
-    mask = np.ascontiguousarray(ct.last_frame_valid, dtype="u1")
-    with open(file, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
-        fh.write(mask)
+    _write_parts(
+        file,
+        MAGIC_TENSOR + struct.pack("<IIII", t, c, h, w),
+        np.asarray(ct.data, dtype="<f4"),
+        np.asarray(ct.last_frame_valid, dtype="u1"),
+    )
 
 
 def read_tensor(file) -> ControlTensor:
@@ -196,7 +203,7 @@ def write_ppm(file, rgb: np.ndarray) -> None:
     if img.ndim != 3 or img.shape[2] != 3:
         raise ValueError("ppm image must have shape (H, W, 3)")
     h, w = img.shape[:2]
-    Path(file).write_bytes(f"P6\n{w} {h}\n255\n".encode() + img.tobytes())
+    _write_parts(file, f"P6\n{w} {h}\n255\n".encode(), img)
 
 
 def read_pgm(file) -> np.ndarray:
@@ -208,7 +215,7 @@ def write_pgm(file, gray: np.ndarray) -> None:
     if img.ndim != 2:
         raise ValueError("pgm image must have shape (H, W)")
     h, w = img.shape
-    Path(file).write_bytes(f"P5\n{w} {h}\n255\n".encode() + img.tobytes())
+    _write_parts(file, f"P5\n{w} {h}\n255\n".encode(), img)
 
 
 def write_correspondences(file, pairs) -> None:

@@ -8,6 +8,8 @@ uncovered pixels show mid-gray with an explicit coverage mask.
 
 from __future__ import annotations
 
+import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,7 +48,64 @@ class PreviewFrames:
             raise ValueError("coverage dimensions do not match frames")
 
 
-def splat_zbuffer(points, values, k: Intrinsics):
+def _nbytes(dtype, shape) -> int:
+    """Bytes of an array rounded up to whole 64-byte lines, so every carved array stays aligned."""
+    return -(-np.dtype(dtype).itemsize * math.prod(shape) // 64) * 64
+
+
+def _carve(buffer, layout):
+    """Consecutive views of the flat byte buffer, one per (dtype, shape) of layout."""
+    start = 0
+    for dtype, shape in layout:
+        yield buffer[start : start + np.dtype(dtype).itemsize * math.prod(shape)].view(dtype).reshape(shape)
+        start += _nbytes(dtype, shape)
+
+
+def _mapped(size: int) -> np.ndarray:
+    """A byte array in an anonymous mapping of its own.
+
+    The memory goes back to the OS when the last view of it is dropped,
+    whatever malloc's thresholds: freed heap memory, which worker threads
+    leave in their own arenas, is kept by the process.
+    """
+    return np.frombuffer(mmap.mmap(-1, size), dtype=np.uint8)
+
+
+def _splat_layout(n: int, values, k: Intrinsics):
+    """(dtype, shape) of each working array of the splat, in buffer order."""
+    pixels = k.height * k.width
+    payload = values.shape[1:]
+    return (
+        (float, (2, n)),  # pinhole's u, v; rounded; then the gathered nearest depths
+        (bool, (n,)),  # in front of the camera
+        (bool, (n,)),  # kept
+        (bool, (n,)),  # scratch
+        (np.intp, (n,)),  # pixel index; H·W, the spare pixel, for a dropped point
+        (np.intp, (n,)),  # source index
+        (float, (pixels + 1,)),  # nearest depth per pixel, then the spare pixel
+        (np.intp, (pixels + 1,)),  # winning source index per pixel, then the spare pixel
+        (values.dtype, (n + 1,) + payload),  # the payload and a zero row
+        (values.dtype, (pixels,) + payload),  # image
+        (bool, (pixels,)),  # coverage
+    )
+
+
+def splat_buffer_size(n: int, values, k: Intrinsics) -> int:
+    """Bytes of the working buffer that splat_zbuffer needs for n points of this payload."""
+    return sum(_nbytes(dtype, shape) for dtype, shape in _splat_layout(n, values, k))
+
+
+def _fill_arange(out):
+    """out[i] = i without allocating: each step copies the filled prefix shifted by its length."""
+    out[:1] = 0
+    step = 1
+    while step < len(out):
+        filled = out[step : 2 * step]
+        np.add(out[: len(filled)], step, out=filled)
+        step *= 2
+
+
+def splat_zbuffer(points, values, k: Intrinsics, *, buffer=None):
     """Nearest-pixel z-buffer splat of camera-space points.
 
     values is (N, ...) per-point payload; returns (image (H, W, ...),
@@ -54,40 +113,72 @@ def splat_zbuffer(points, values, k: Intrinsics):
     index wins. Two unbuffered scatter-mins over the flat pixel grid pick
     the winner: the first gives each pixel's nearest depth, the second the
     smallest source index among the points at that depth. A minimum does
-    not depend on order, so neither does the result. The index buffer is
-    the image: one gather from the payload extended by a zero row, which
-    index n (an uncovered pixel) reads.
+    not depend on order, so neither does the result. Both run over all N
+    points: a point outside the footprint, and then a point behind its
+    pixel's nearest depth, is sent to a spare pixel after the last, so no
+    step compresses. The index buffer is the image: one gather from the
+    payload extended by a zero row, which index n (an uncovered pixel)
+    reads.
+
+    buffer is a flat uint8 array of at least splat_buffer_size(N, values,
+    k) bytes. Every step writes into it, and the image and coverage are
+    views of it, valid until its next use. Without one, the splat allocates
+    its own and returns copies.
     """
     h, w = k.height, k.width
-    uv, front = pinhole(points, k)
-    keep = front & in_image(uv, k)
-    cols = np.moveaxis(uv, -1, 0)  # pinhole's (2, N) buffer, rounded in place
+    n, pixels = len(points), h * w
+    own = buffer is None
+    if own:
+        buffer = _mapped(splat_buffer_size(n, values, k))
+    cols, front, keep, test, lin, source, zbuf, ibuf, ext, image, coverage = _carve(
+        buffer, _splat_layout(n, values, k)
+    )
+    uv, _ = pinhole(points, k, buffer=(cols, front))
+    in_image(uv, k, buffer=(keep, test))
+    keep &= front
+    u, v = cols
     np.floor(np.add(cols, 0.5, out=cols), out=cols)  # round half up, deterministically
-    keep &= (cols[0] < w) & (cols[1] < h)  # u = W - 0.5 is in the footprint but rounds to column W
-    idx = np.flatnonzero(keep)
-    lin = (cols[1, idx] * w + cols[0, idx]).astype(np.int64)  # exact: whole numbers below 2^53
-    zin = points[idx, 2]
+    keep &= np.less(u, w, out=test)  # u = W - 0.5 is in the footprint but rounds to column W
+    keep &= np.less(v, h, out=test)
+    np.logical_not(keep, out=test)
+    np.copyto(u, 0.0, where=test)  # dropped points go to the spare pixel, row H, column 0
+    np.copyto(v, h, where=test)
+    np.add(np.multiply(v, w, out=v), u, out=lin, casting="unsafe")  # exact: whole numbers below 2^53
+    z = points[:, 2]
 
-    zbuf = np.full(h * w, np.inf)
-    np.minimum.at(zbuf, lin, zin)
-    tie = zin == zbuf[lin]
-    n = len(points)
-    ibuf = np.full(h * w, n, dtype=np.int64)  # n marks an uncovered pixel
-    np.minimum.at(ibuf, lin[tie], idx[tie])
-    ext = np.concatenate([values, np.zeros((1,) + values.shape[1:], dtype=values.dtype)])
-    return ext[ibuf].reshape((h, w) + values.shape[1:]), (ibuf < n).reshape(h, w)
+    zbuf.fill(np.inf)
+    with np.errstate(invalid="ignore"):  # a NaN z is a dropped point's, and reaches only the spare pixel
+        np.minimum.at(zbuf, lin, z)
+    # mode="clip" writes into out directly (the default mode buffers it); no index is out of range
+    np.not_equal(z, np.take(zbuf, lin, out=u, mode="clip"), out=test)
+    np.copyto(lin, pixels, where=test)  # only the points at their pixel's nearest depth stay
+    _fill_arange(source)
+    ibuf.fill(n)  # n marks an uncovered pixel
+    np.minimum.at(ibuf, lin, source)
+    ext[:n] = values
+    ext[n] = 0
+    np.take(ext, ibuf[:pixels], axis=0, out=image, mode="clip")
+    np.less(ibuf[:pixels], n, out=coverage)
+    image, coverage = image.reshape((h, w) + values.shape[1:]), coverage.reshape(h, w)
+    return (image.copy(), coverage.copy()) if own else (image, coverage)
 
 
 def render_preview(frame0: RgbdFrame, path: CameraPath, threads: int = 1) -> PreviewFrames:
-    """Render the RGBD cloud of frame 0 under every motion of the path."""
+    """Render the RGBD cloud of frame 0 under every motion of the path.
+
+    Each of min(threads, T) workers renders every frame of its share (every
+    workers-th frame) in one working buffer, mapped once per call, so no
+    frame allocates memory the size of the image.
+    """
     k = frame0.intrinsics
     h, w = k.height, k.width
+    n = h * w
     uv = grid_sample_uv(h, w, k)
     p0 = unproject(uv, frame0.depth.ravel(), k)  # coordinate-major, as apply reads fastest
     # One little-endian word per point: its RGB bytes XOR BACKGROUND, then a
     # zero byte. XORing the splat's words with BACKGROUND's word restores the
     # colours, and turns the zero sentinel of an uncovered pixel into BACKGROUND.
-    rgbx = np.zeros((h * w, 4), dtype=np.uint8)
+    rgbx = np.zeros((n, 4), dtype=np.uint8)
     rgbx[:, :3] = frame0.rgb.reshape(-1, 3) ^ BACKGROUND
     words = rgbx.view("<u4").ravel()
     background = int.from_bytes(BACKGROUND.tobytes(), "little")
@@ -95,13 +186,18 @@ def render_preview(frame0: RgbdFrame, path: CameraPath, threads: int = 1) -> Pre
     t = len(path)
     frames = np.empty((t, h, w, 3), dtype=np.uint8)
     coverage = np.empty((t, h, w), dtype=bool)
+    workers = min(threads, t)
+    layout = ((float, (3, n)), (float, (n,)), (np.uint8, (splat_buffer_size(n, words, k),)))
+    buffers = [_mapped(sum(_nbytes(*array) for array in layout)) for _ in range(workers)]
 
-    def render_one(lam):
-        image, cov = splat_zbuffer(apply(path[lam], p0), words, k)
-        image ^= background
-        frames[lam] = image.view(np.uint8).reshape(h, w, 4)[..., :3]
-        coverage[lam] = cov
+    def render_frames(worker):
+        cols, term, work = _carve(buffers[worker], layout)
+        for lam in range(worker, t, workers):
+            image, cov = splat_zbuffer(apply(path[lam], p0, buffer=(cols, term)), words, k, buffer=work)
+            image ^= background
+            frames[lam] = image.view(np.uint8).reshape(h, w, 4)[..., :3]
+            coverage[lam] = cov
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(render_one, range(t)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(render_frames, range(workers)))
     return PreviewFrames(frames, coverage)

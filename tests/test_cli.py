@@ -11,6 +11,7 @@ from camsig.io import (
     Tracks,
     read_depth,
     read_pgm,
+    read_ppm,
     read_tensor,
     read_tracks,
     write_correspondences,
@@ -18,7 +19,7 @@ from camsig.io import (
     write_tensor,
     write_tracks,
 )
-from camsig.preview import splat_zbuffer
+from camsig.preview import RgbdFrame, render_preview, splat_zbuffer
 from camsig.signal import build_inference_signal, normalize_tensor
 from camsig.synth import generate_scene, scene_from_dict
 from camsig.trajfield import grid_sample_uv
@@ -365,6 +366,24 @@ def test_preview_command(tmp_path):
     assert len(frames) == 5 and len(covers) == 5
     first = read_pgm(covers[0])
     assert np.all(first == 255)  # identity frame fully covered
+
+
+def test_preview_command_writes_header_then_raster(tmp_path):
+    # Each PPM holds a rendered frame and each PGM its coverage as 0 or 255,
+    # in the bytes of a header joined to the raster.
+    data = run_synth(tmp_path)
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    prev = tmp_path / "prev"
+    assert main(["--threads", "2"] + preview_argv(data, k_file) + ["--out", str(prev)]) == 0
+    frame0 = RgbdFrame(read_ppm(data / "rgb0.ppm"), read_depth(data / "depth_0000.tcd"), K32)
+    want = render_preview(frame0, load_path(data / "path.json"))
+    assert not want.coverage.all()
+    header = f"{K32.width} {K32.height}\n255\n".encode()
+    for lam in range(len(want.frames)):
+        assert (prev / f"preview_{lam:04d}.ppm").read_bytes() == b"P6\n" + header + want.frames[lam].tobytes()
+        gray = np.where(want.coverage[lam], 255, 0).astype(np.uint8)
+        assert (prev / f"coverage_{lam:04d}.pgm").read_bytes() == b"P5\n" + header + gray.tobytes()
 
 
 def test_path_frame_beyond_float32_range_is_held(tmp_path):

@@ -396,6 +396,28 @@ class TestColumnKernel:
                 assert np.array_equal(front, want_front), name
                 assert np.array_equal(bits(uv), bits(want_uv)), name
 
+    def test_buffered_calls_match_allocating_calls(self):
+        # Written into NaN-filled rows of a larger buffer, apply and pinhole
+        # give the allocating calls' bits, for a single point and for
+        # (N, 3) and (T, N, 3) points.
+        k = Intrinsics(48.0, 52.5, 15.5, 14.25, 32, 30)
+        for m in kernel_motions():
+            for p in by_shape(kernel_points()):
+                shape = p.shape[:-1]
+                for name, q in layouts(p).items():
+                    big = np.full((8,) + shape, np.nan)
+                    got = apply(m, q, buffer=(big[1:4], big[4, ...]))
+                    assert np.shares_memory(got, big[1:4]), name
+                    assert got.shape == p.shape and np.array_equal(bits(got), bits(apply(m, q))), name
+                    front = np.zeros(shape, dtype=bool)
+                    uv, got_front = pinhole(got, k, buffer=(big[5:7], front))
+                    want_uv, want_front = pinhole(got, k)
+                    assert np.shares_memory(uv, big[5:7]) and got_front is front, name
+                    assert np.array_equal(bits(uv), bits(want_uv)), name
+                    assert np.array_equal(front, want_front), name
+                    ok = in_image(uv, k, buffer=(np.zeros(shape, dtype=bool), np.ones(shape, dtype=bool)))
+                    assert np.array_equal(ok, in_image(uv, k)), name
+
     def test_pinhole_of_transport_is_coordinate_major(self):
         # Each coordinate of the results is one contiguous column.
         p = kernel_points()[1]

@@ -212,6 +212,21 @@ class TestImages:
         write_pgm(file, gray)
         assert np.array_equal(read_pgm(file), gray)
 
+    def test_writers_write_header_then_c_order_bytes(self, tmp_path):
+        # Arrays in Fortran order or as strided views are written in the
+        # bytes of the header joined to the C-order raster.
+        gen = rng(88)
+        rgb = np.asfortranarray(gen.integers(0, 256, size=(5, 7, 3), dtype=np.uint8))
+        gray = gen.integers(0, 256, size=(6, 10), dtype=np.uint8)[:, ::2]
+        depth = np.asfortranarray(gen.uniform(0.5, 9.0, size=(4, 6)))
+        file = tmp_path / "x"
+        write_ppm(file, rgb)
+        assert file.read_bytes() == b"P6\n7 5\n255\n" + rgb.tobytes()
+        write_pgm(file, gray)
+        assert file.read_bytes() == b"P5\n5 6\n255\n" + gray.tobytes()
+        write_depth(file, depth)
+        assert file.read_bytes() == b"TCD1" + struct.pack("<II", 6, 4) + depth.astype("<f4").tobytes()
+
     def test_ppm_with_comments(self, tmp_path):
         file = tmp_path / "c.ppm"
         raster = bytes(range(2 * 2 * 3))

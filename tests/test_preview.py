@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from camsig import preview
 from camsig.campath import CameraPath, PrimitiveSpec, generate_primitive
 from camsig.geometry import Intrinsics, RigidMotion, unproject
-from camsig.preview import BACKGROUND, RgbdFrame, render_preview, splat_zbuffer
+from camsig.preview import BACKGROUND, RgbdFrame, render_preview, splat_buffer_size, splat_zbuffer
 from camsig.trajfield import grid_sample_uv
-from test_splat_reference import reference_splat
+from test_splat_reference import payloads, reference_splat
 from util import K32, identity_motions, rng, smooth_motions
 
 
@@ -89,7 +90,7 @@ def test_zbuffer_tie_breaks_by_source_index():
     assert np.array_equal(out.frames[1][0, 1], [10, 0, 0])
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_packed_colours_come_back_exactly(threads):
     # Each colour travels as one word XORed with the background word. A
     # point coloured BACKGROUND is still covered; black and white (the
@@ -111,9 +112,9 @@ def test_render_splats_through_module_global_once_per_frame(monkeypatch, threads
     calls = []
     splat = preview.splat_zbuffer
 
-    def counting(points, values, k):
+    def counting(points, values, k, **kwargs):
         calls.append(len(points))
-        return splat(points, values, k)
+        return splat(points, values, k, **kwargs)
 
     monkeypatch.setattr(preview, "splat_zbuffer", counting)
     render_preview(checker_frame(), generate_primitive(PrimitiveSpec("zoom_out", 0.8, 6)), threads=threads)
@@ -190,12 +191,61 @@ def test_roll_directions_rotate_scene_as_documented():
 
 
 def test_threaded_render_matches_serial():
+    # Worker j of min(threads, T) renders frames j, j + workers, ...: 5
+    # frames over 2 and 3 workers split unevenly, and 5 threads on 3 frames
+    # start one worker per frame.
     frame0 = checker_frame(jitter=0.3)
-    path = generate_primitive(PrimitiveSpec("zoom_out", 0.8, 6))
-    serial = render_preview(frame0, path, threads=1)
-    threaded = render_preview(frame0, path, threads=4)
-    assert np.array_equal(serial.frames, threaded.frames)
-    assert np.array_equal(serial.coverage, threaded.coverage)
+    for frames, threads in ((6, 4), (5, 2), (5, 3), (3, 5)):
+        path = generate_primitive(PrimitiveSpec("zoom_out", 0.8, frames))
+        serial = render_preview(frame0, path, threads=1)
+        threaded = render_preview(frame0, path, threads=threads)
+        assert np.array_equal(serial.frames, threaded.frames)
+        assert np.array_equal(serial.coverage, threaded.coverage)
+
+
+def test_splat_into_a_reused_dirty_buffer_matches_its_own():
+    # Every step overwrites what it reads, so a buffer full of garbage, used
+    # again for another cloud, gives the splat's own result; the image and
+    # coverage are views of the buffer. A NaN coordinate drops its point
+    # and raises no warning.
+    gen = rng(54)
+    k = K32
+    depth = gen.uniform(1.0, 3.0, k.height * k.width)
+    points = unproject(grid_sample_uv(k.height, k.width, k), depth, k)
+    holed = points * [1.0, 1.0, 2.5]
+    holed[[3, 40, 500]] = [[np.nan, 0.0, 2.0], [0.0, np.nan, 2.0], [0.1, 0.1, np.nan]]
+    clouds = [points, holed, points[::3] + [0.3, -0.2, 0.0], points[:0]]
+    for values in payloads(points):
+        size = splat_buffer_size(len(points), values, k)
+        buffer = np.frombuffer(gen.bytes(size), dtype=np.uint8).copy()
+        for cloud in clouds:
+            payload = values[: len(cloud)]
+            image, coverage = splat_zbuffer(cloud, payload, k, buffer=buffer)
+            want = splat_zbuffer(cloud, payload, k)
+            assert np.shares_memory(image, buffer) and np.shares_memory(coverage, buffer)
+            assert np.array_equal(image, want[0]) and np.array_equal(coverage, want[1])
+            assert want[0].flags.owndata and want[1].flags.owndata
+            with np.errstate(invalid="ignore"):  # the reference casts NaN to int64
+                ref = reference_splat(cloud, payload, k)
+            assert np.array_equal(image, ref[0]) and np.array_equal(coverage, ref[1])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_render_allocates_no_frame_sized_temporaries(threads):
+    # Each worker renders every frame in one buffer mapped outside the heap,
+    # so tracemalloc sees only the result and the set-up of the frame-0
+    # cloud, about 45 B/px. A float64 temporary of N points per frame on
+    # each of two workers would add 16 B/px.
+    k = Intrinsics(fx=256.0, fy=256.0, cx=127.5, cy=127.5, width=256, height=256)
+    frame0 = checker_frame(k, jitter=0.3)
+    path = generate_primitive(PrimitiveSpec("zoom_out", 0.8, 8))
+    tracemalloc.start()
+    try:
+        out = render_preview(frame0, path, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - out.frames.nbytes - out.coverage.nbytes) / (k.height * k.width) < 56.0
 
 
 def test_rgbd_frame_validation():
