@@ -194,14 +194,8 @@ class RigidMotion:
         return np.array_equal(self.rotation, np.eye(3)) and not self.translation.any()
 
 
-def hat(w) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector: hat(w) @ p == cross(w, p)."""
-    wx, wy, wz = (float(c) for c in w)
-    return np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
-
-
 def _rodrigues(theta_sq: float) -> tuple[float, float, float]:
-    """a, b, c of exp(K) = I + aK + bK² and J_r = I - bK + cK², K = hat(w), |w|² = theta_sq."""
+    """a, b, c of exp(K) = I + aK + bK² and J_r = I - bK + cK², K = [w]×, |w|² = theta_sq."""
     theta = math.sqrt(theta_sq)
     if theta < _SMALL_ANGLE:
         return (
@@ -218,9 +212,7 @@ def so3_exp(axis_angle) -> np.ndarray:
     w = np.asarray(axis_angle, dtype=float)
     if w.shape != (3,):
         raise ValueError("axis-angle must be a 3-vector")
-    a, b, _ = _rodrigues(float(w @ w))
-    k = hat(w)
-    return np.eye(3) + a * k + b * (k @ k)
+    return so3_exp_batch(w)[0][0]
 
 
 def so3_log(r: np.ndarray) -> np.ndarray:
@@ -252,14 +244,14 @@ def so3_log(r: np.ndarray) -> np.ndarray:
 def so3_exp_batch(axis_angles) -> tuple[np.ndarray, np.ndarray]:
     """Rotations and right Jacobians of (F, 3) axis-angle rows, each (F, 3, 3).
 
-    so3_exp's Rodrigues map over rows, with the right Jacobian J_r(w) of
-    exp(w + d) ~ exp(w) exp(J_r(w) d).
+    The one Rodrigues map (so3_exp is a batch of one), with the right
+    Jacobian J_r(w) of exp(w + d) ~ exp(w) exp(J_r(w) d).
     """
     w = np.asarray(axis_angles, dtype=float).reshape(-1, 3)
     a, b, c = np.array([_rodrigues(float(wi @ wi)) for wi in w]).T[:, :, None, None]
     k = np.zeros((len(w), 3, 3))
     k[:, 2, 1], k[:, 0, 2], k[:, 1, 0] = w.T
-    k -= k.transpose(0, 2, 1).copy()  # hat(w) per row
+    k -= k.transpose(0, 2, 1).copy()  # [w]× per row
     kk = k @ k
     return np.eye(3) + a * k + b * kk, np.eye(3) - b * k + c * kk
 

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from camsig.geometry import Intrinsics, Z_MIN, check_depth_size, unproject
+from camsig.geometry import Intrinsics, Z_MIN, check_depth_size, in_image, unproject
 from camsig.signal import ControlTensor
 from camsig.trajfield import TrajectoryField, grid_sample_uv, hold_last_valid
 
@@ -298,11 +298,14 @@ def _infer_grid(uv0: np.ndarray, k: Intrinsics) -> tuple[int, int]:
 def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) -> TrajectoryField:
     """Lift 2D tracks to per-frame camera coordinates with per-frame depth.
 
-    Each visible track point is lifted at the bilinear depth sample of that
-    frame's depth map at its own position, so its projection reproduces the
-    observed track exactly. Out-of-bounds positions sample at the clamped
-    location (counted and logged); non-positive sampled depth marks the
-    entry invisible. Invisible entries carry the last visible position.
+    Each visible track point inside the image footprint is lifted at the
+    bilinear depth sample of that frame's depth map at its own position, so
+    its projection reproduces the observed track exactly. A track outside
+    the footprint is not an observation and marks the entry invisible.
+    Positions in the half-pixel margin past the outer pixel centers sample
+    at the clamped location (counted and logged); non-positive sampled
+    depth marks the entry invisible. Invisible entries carry the last
+    visible position.
     """
     t, n = tracks.num_frames, tracks.num_points
     if len(depths) != t:
@@ -320,7 +323,7 @@ def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) 
     visibility = np.zeros((t, n), dtype=bool)
     total_clamped = 0
     for lam in range(t):
-        tracked = tracks.visible[lam]
+        tracked = tracks.visible[lam] & in_image(tracks.uv[lam], k)
         uv = tracks.uv[lam][tracked]
         depth, ok, clamped = _bilinear_depth(depths[lam], uv[:, 0], uv[:, 1])
         total_clamped += clamped

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from camsig.geometry import BLOCK, Intrinsics, RigidMotion, Z_MIN, so3_exp, so3_exp_batch
+from camsig.geometry import BLOCK, Intrinsics, RigidMotion, Z_MIN, so3_exp_batch
 
 # Levenberg–Marquardt damping schedule, relative to diag(JᵀJ). A step that
 # lowers the cost divides the damping by _MU_FACTOR, a rejected step
@@ -28,24 +28,16 @@ _MU_MAX = 1e16
 # A trial step that changes the cost by at most this fraction, either way,
 # ends the fit as converged: the cost has reached its rounding floor.
 _REL_CHANGE = 1e-15
+# A fit also ends as converged when the gradient's largest entry, per unit
+# that moves the points 1 px RMS, is at most _GRADIENT_TOLERANCE, and ends
+# unconverged after _MAX_ITERATIONS iterations.
+_GRADIENT_TOLERANCE = 1e-10
+_MAX_ITERATIONS = 200
 _FLIP = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, -1.0])  # Jacobian column signs as stored
 
 
 class NumericalError(RuntimeError):
-    """Optimization produced a non-finite cost or gradient."""
-
-
-@dataclass
-class FitConfig:
-    max_iterations: int = 200
-    gradient_tolerance: float = 1e-10  # gradient's max, per unit that moves the points 1 px RMS
-
-    def __post_init__(self):
-        if not (self.max_iterations % 1 == 0 and self.max_iterations >= 1):
-            raise ValueError(f"iteration count must be a positive integer, got {self.max_iterations}")
-        self.max_iterations = int(self.max_iterations)
-        if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance > 0.0):
-            raise ValueError(f"gradient tolerance must be finite and positive, got {self.gradient_tolerance}")
+    """Optimization produced a non-finite cost or gradient, or a singular solve."""
 
 
 @dataclass(eq=False)
@@ -125,7 +117,7 @@ def reproj_cost_grad(points0, observed, mask, k: Intrinsics, params):
     return float(cost[0]), (2.0 / max(n[0], 1.0)) * jtr[0]
 
 
-def _lm_chunk(p, ov, wt, k: Intrinsics, x, cfg: FitConfig) -> list:
+def _lm_chunk(p, ov, wt, k: Intrinsics, x) -> list:
     """Levenberg–Marquardt on one chunk of frames; x (F×6) is updated in place.
 
     Each frame keeps its own damping, stop flag, iteration count and cost
@@ -140,7 +132,7 @@ def _lm_chunk(p, ov, wt, k: Intrinsics, x, cfg: FitConfig) -> list:
             raise NumericalError(f"numerical failure: non-finite cost at params {params[bad[0]].tolist()}")
         scale = np.sqrt(n[:, None] * np.diagonal(jtj, axis1=1, axis2=2))  # px RMS per unit
         grad = 2.0 * np.abs(jtr) / np.where(scale > 0.0, scale, 1.0)
-        return cost, jtj, jtr, (n > 0.0) & (grad.max(axis=1) <= cfg.gradient_tolerance)
+        return cost, jtj, jtr, (n > 0.0) & (grad.max(axis=1) <= _GRADIENT_TOLERANCE)
 
     nf = len(x)
     f, h, g, converged = evaluate(p, ov, wt, x)
@@ -161,17 +153,21 @@ def _lm_chunk(p, ov, wt, k: Intrinsics, x, cfg: FitConfig) -> list:
                 a[: len(keep)] = a[keep]
             p, ov, wt = p[: len(keep)], ov[: len(keep)], wt[: len(keep)]
         iterations[rows] += 1
-        # JᵀJ is PSD: the damped matrix is singular exactly when JᵀJ has a
-        # zero diagonal entry, and such a frame's step is rejected. The rest
+        # A frame whose JᵀJ has a zero diagonal entry takes no step. The rest
         # solve where JᵀJ has a unit diagonal, so μ·diag(JᵀJ) is μ·I and the
-        # pivots do not depend on the units of the translation.
+        # pivots do not depend on the units of the translation. That matrix
+        # is positive definite in exact arithmetic, but rounding can still
+        # make it singular when the entries span many orders of magnitude.
         h_r, g_r = h[rows], g[rows]
         dg = h_r[:, diag, diag]
         ok = (dg > 0.0).all(axis=1)
         d = np.sqrt(np.where(ok[:, None], dg, 1.0))
         c = np.where(ok[:, None, None], h_r / d[:, :, None] / d[:, None, :], np.eye(6))
         c[:, diag, diag] += mu[rows, None]
-        step = np.linalg.solve(c, -(g_r / d)[..., None])[..., 0] / d
+        try:
+            step = np.linalg.solve(c, -(g_r / d)[..., None])[..., 0] / d
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("numerical failure: the damped normal equations are singular") from exc
         ok &= np.isfinite(step).all(axis=1)
         accepted = np.zeros(nf, dtype=bool)
         if ok.any():
@@ -188,17 +184,18 @@ def _lm_chunk(p, ov, wt, k: Intrinsics, x, cfg: FitConfig) -> list:
         mu[rows] *= np.where(accepted[rows], 1.0 / _MU_FACTOR, _MU_FACTOR)
         for i in rows:
             traces[i].append(f[i])
-        running = ~converged & (iterations < cfg.max_iterations) & (mu <= _MU_MAX)
+        running = ~converged & (iterations < _MAX_ITERATIONS) & (mu <= _MU_MAX)
 
     traces = [np.array(trace) for trace in traces]
     assert all(np.all(np.diff(trace) <= 0.0) for trace in traces), "solver admitted an ascent step"
+    rotations = so3_exp_batch(x[:, :3])[0]
     return [
-        FitResult(RigidMotion(so3_exp(xi[:3]), xi[3:].copy()), float(fi), int(it), bool(conv), trace)
-        for xi, fi, it, conv, trace in zip(x, f, iterations, converged, traces)
+        FitResult(RigidMotion(r, xi[3:].copy()), float(fi), int(it), bool(conv), trace)
+        for r, xi, fi, it, conv, trace in zip(rotations, x, f, iterations, converged, traces)
     ]
 
 
-def fit_rigid_frames(points0, observed, masks, k: Intrinsics, init, config: FitConfig | None = None):
+def fit_rigid_frames(points0, observed, masks, k: Intrinsics, init):
     """Fit each frame's rigid motion to its observed projections of points0.
 
     points0 is (N, 3). Frame f fits the points selected by masks[f] (N) to
@@ -210,12 +207,12 @@ def fit_rigid_frames(points0, observed, masks, k: Intrinsics, init, config: FitC
     only if the cost does not rise, so the cost trace (the initial cost,
     then one entry per iteration) is non-increasing; μ shrinks after an
     accepted step and grows after a rejected one. A fit stops, converged,
-    when the gradient reaches the configured tolerance or a trial step
-    changes the cost by a relative 1e-15 or less either way (its rounding
-    floor); unconverged when μ passes 1e16, as with a rank-deficient JᵀJ,
-    or at max_iterations. Frames run in chunks of at most BLOCK padded points.
+    when the gradient reaches 1e-10 per unit that moves the points 1 px RMS
+    or a trial step changes the cost by a relative 1e-15 or less either way
+    (its rounding floor); unconverged when μ passes 1e16, as with a
+    rank-deficient JᵀJ, or after 200 iterations. Frames run in chunks of at
+    most BLOCK padded points.
     """
-    cfg = config or FitConfig()
     p0, obs, sel = _validate_inputs(points0, observed, masks)
     x = np.array(init, dtype=float).reshape(len(sel), 6)
     m = int(sel.sum(axis=1).max(initial=3))
@@ -229,10 +226,10 @@ def fit_rigid_frames(points0, observed, masks, k: Intrinsics, init, config: FitC
         col = np.where(wt, order, order[:, :1])
         ov = np.take(obs[c].reshape(-1, 2), col + sel.shape[1] * np.arange(len(col))[:, None], axis=0)
         p = np.take(p0.T, col, axis=1).transpose(1, 0, 2)
-        results += _lm_chunk(p, ov.transpose(0, 2, 1), wt.astype(float), k, x[c], cfg)
+        results += _lm_chunk(p, ov.transpose(0, 2, 1), wt.astype(float), k, x[c])
     return x, results
 
 
-def fit_rigid(points0, observed, mask, k: Intrinsics, init, config: FitConfig | None = None) -> FitResult:
+def fit_rigid(points0, observed, mask, k: Intrinsics, init) -> FitResult:
     """Fit one frame's rigid motion: fit_rigid_frames on a batch of one."""
-    return fit_rigid_frames(points0, [observed], [mask], k, [init], config)[1][0]
+    return fit_rigid_frames(points0, [observed], [mask], k, [init])[1][0]

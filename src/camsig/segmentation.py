@@ -14,12 +14,12 @@ are rescaled to the full frame count so occlusion does not bias the split.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from camsig.geometry import RigidMotion, apply, pinhole
-from camsig.rigidfit import FitConfig, fit_rigid_frames
+from camsig.rigidfit import fit_rigid_frames
 from camsig.rigidfit import fit_rigid  # noqa: F401  perfbench/tracer.py patches this name
 from camsig.trajfield import PixelPartition, TrajectoryField
 
@@ -27,6 +27,10 @@ STATUS_CONVERGED_EPS = "converged_eps"
 STATUS_CONVERGED_FULL = "converged_full"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_DEGENERATE = "degenerate"
+
+# A re-thresholded static set smaller than this share of the grid (and than
+# 6 points) ends the loop as degenerate, keeping the previous iteration.
+_MIN_STATIC_FRACTION = 0.10
 
 
 @dataclass
@@ -40,8 +44,6 @@ class SegmentationConfig:
     epsilon: float | None = None
     alpha: float = 0.15
     max_iterations: int = 10
-    min_static_fraction: float = 0.10
-    fit: FitConfig = dc_field(default_factory=FitConfig)
 
     def __post_init__(self):
         if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
@@ -51,8 +53,6 @@ class SegmentationConfig:
         if not (self.max_iterations % 1 == 0 and self.max_iterations >= 1):
             raise ValueError(f"max_iterations must be a positive integer, got {self.max_iterations}")
         self.max_iterations = int(self.max_iterations)
-        if not (0.0 < self.min_static_fraction < 1.0):
-            raise ValueError("min_static_fraction must lie in (0, 1)")
 
 
 @dataclass(eq=False)
@@ -92,16 +92,8 @@ def _per_point_errors(field, motions, obs, vis_count) -> np.ndarray:
     return sq.sum(axis=0) * (t / vis_count)
 
 
-def extract_static(
-    field: TrajectoryField,
-    config: SegmentationConfig | None = None,
-    initial_static: np.ndarray | None = None,
-) -> SegmentationResult:
-    """Split the grid into static and dynamic points with per-frame rigid fits.
-
-    `initial_static` overrides the all-static starting set (flat or (H, W)
-    boolean array); the default is the whole grid.
-    """
+def extract_static(field: TrajectoryField, config: SegmentationConfig | None = None) -> SegmentationResult:
+    """Split the grid into static and dynamic points with per-frame rigid fits."""
     cfg = config or SegmentationConfig()
     t = field.num_frames
     n = field.num_points
@@ -109,17 +101,13 @@ def extract_static(
         raise ValueError("extraction needs at least two frames")
     eps = 4.0 * t if cfg.epsilon is None else cfg.epsilon
 
-    if initial_static is None:
-        static = np.ones(n, dtype=bool)
-    else:
-        static = np.asarray(initial_static, dtype=bool).reshape(n).copy()
-
     k = field.intrinsics
     vis = field.visibility
     vis_count = vis.sum(axis=0)
     obs = _observed_projections(field)
-    min_count = max(int(math.ceil(cfg.min_static_fraction * n)), 6)
+    min_count = max(int(math.ceil(_MIN_STATIC_FRACTION * n)), 6)
 
+    static = np.ones(n, dtype=bool)
     motions = [RigidMotion.identity() for _ in range(t)]
     params = np.zeros((t - 1, 6))
     eps_max_trace: list[float] = []
@@ -141,7 +129,7 @@ def extract_static(
                 "keeping previous iteration"
             )
             break
-        params, fits = fit_rigid_frames(field.positions[0], obs[1:], sel, k, params, cfg.fit)
+        params, fits = fit_rigid_frames(field.positions[0], obs[1:], sel, k, params)
         motions = [RigidMotion.identity()] + [result.motion for result in fits]
         for lam, result in enumerate(fits, start=1):
             if not result.converged:

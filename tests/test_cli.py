@@ -140,19 +140,16 @@ def test_signal_from_video_pipeline(tmp_path):
 
 
 def test_signal_from_video_strength_beyond_float32_is_data_error(tmp_path, capsys):
-    # One far track entry and one far depth sample give frame 2 a residual
-    # speed of about 2e72: it must be refused before the float32 cast.
+    # Every depth sample of frame 2 at 3.4e38 lifts its in-image tracks far
+    # from the camera, giving a residual speed of about 3.5e38: it must be
+    # refused before the float32 cast.
     scene, path, out = tmp_path / "scene.json", tmp_path / "path.json", tmp_path / "synth"
     write_scene(scene, frames=4)
     save_path(generate_primitive(PrimitiveSpec("pan_left", 0.1, 4)), path)
     assert main(["synth", "--scene", str(scene), "--path", str(path), "--out", str(out)]) == 0
     tracks_file = out / "tracks.tct"
-    tracks = read_tracks(tracks_file)
-    tracks.uv[2, 0, 0] = 3e38
-    tracks.visible[2, 0] = True
-    write_tracks(tracks_file, tracks)
     depth = read_depth(out / "depth_0002.tcd")
-    depth[0, 31] = 3e38
+    depth[...] = 3.4e38
     write_depth(out / "depth_0002.tcd", depth)
     k_file = tmp_path / "k.json"
     write_intrinsics(k_file)

@@ -2,9 +2,10 @@
 
 perfbench/workloads.py is loaded as it stands. The infer_video request runs
 once, end to end: the TCS1 file and every preview frame must hash to the
-seed-0 entry of perfbench/digests.json. The first segment_noisy clip of
-seed 3 runs through `camsig signal-from-video`, and its TCS1 file must
-hash to the digest recorded for it.
+seed-0 entry of perfbench/digests.json. The first segment_noisy and the
+first segment_clean_large clip of seed 3 run through `camsig
+signal-from-video`, and each TCS1 file must hash to the digest recorded
+for it.
 """
 
 import hashlib
@@ -17,7 +18,10 @@ from pathlib import Path
 from camsig.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-SEGMENT_NOISY_SEED_3_CLIP_0_TCS1 = "03d881ad9f4f48332c5a328ab01fc83133969d4b854b153ba6091efa19445d47"
+SEGMENT_SEED_3_CLIP_0_TCS1 = {
+    "segment_noisy": "03d881ad9f4f48332c5a328ab01fc83133969d4b854b153ba6091efa19445d47",
+    "segment_clean_large": "e60d451a25d8a6ff05d2bb1461a904d4e7ca4a2efe122854bdbb1285593eb82f",
+}
 
 
 def load_perfbench(name):
@@ -41,16 +45,26 @@ def test_infer_video_seed_0_matches_recorded_digests(tmp_path):
     assert result.digests == recorded
 
 
-def test_signal_from_video_segment_noisy_clip_matches_recorded_digest(tmp_path):
+def signal_from_video_seed_3_clip_0_digest(name, tmp_path):
     workloads = load_workloads()
-    workload = workloads.WORKLOADS["segment_noisy"]
+    workload = workloads.WORKLOADS[name]
     spec, path = workload.scene(workload.clip_seeds(3)[0])
     workloads.export_scene(spec, path, tmp_path)  # writes intrinsics.json too
     out = tmp_path / "signal.tcs"
     argv = ["signal-from-video", "--tracks", str(tmp_path / "tracks.tct"), "--depth-dir", str(tmp_path),
             "--intrinsics", str(tmp_path / "intrinsics.json"), "--out", str(out)]
     assert main(argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEGMENT_NOISY_SEED_3_CLIP_0_TCS1
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_signal_from_video_segment_noisy_clip_matches_recorded_digest(tmp_path):
+    digest = signal_from_video_seed_3_clip_0_digest("segment_noisy", tmp_path)
+    assert digest == SEGMENT_SEED_3_CLIP_0_TCS1["segment_noisy"]
+
+
+def test_signal_from_video_segment_clean_large_clip_matches_recorded_digest(tmp_path):
+    digest = signal_from_video_seed_3_clip_0_digest("segment_clean_large", tmp_path)
+    assert digest == SEGMENT_SEED_3_CLIP_0_TCS1["segment_clean_large"]
 
 
 def test_tracer_nested_names_resolve():

@@ -343,13 +343,16 @@ class TestAssembleField:
         uv = grid_sample_uv(K32.height, K32.width, K32)
         n = uv.shape[0]
         uv2 = np.stack([uv, uv])
-        uv2[1, 0, 0] = -3.0
+        uv2[1, 0, 0] = -0.4  # in the half-pixel margin: clamped
+        uv2[1, 1, 0] = -3.0  # outside the image: not an observation
         vis = np.ones((2, n), dtype=bool)
         depth = np.full((K32.height, K32.width), 2.0)
         with caplog.at_level(logging.WARNING, logger="camsig.io"):
             field = assemble_field([depth, depth], Tracks(uv2, vis), K32)
         assert "clamped 1" in caplog.text
         assert field.visibility[1, 0]  # clamped sample is still usable
+        assert not field.visibility[1, 1]
+        assert np.array_equal(field.positions[1, 1], field.positions[0, 1])  # held
 
     def test_grid_inference_rejects_scatter(self):
         gen = rng(89)

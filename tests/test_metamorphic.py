@@ -5,10 +5,11 @@ product, quotient and sum in the pipeline scales exactly by a power of two
 or cancels the scale. So `extract_static` on the scaled field must return
 the same mask, status, per-point errors and rotations, bit for bit, and
 translations exactly s times as large. Through `cli.main` the same holds
-for the two signal commands: scaling the depth files changes a
-`signal-from-video` tensor only in its strength channel (a metric speed,
-exactly s times as large), and scaling the depth with the path
-translations leaves the `signal-from-path` bytes unchanged. The relations
+for `segment` (the same mask bytes and report, translations exactly s
+times as large) and for the two signal commands: scaling the depth files
+changes a `signal-from-video` tensor only in its strength channel (a
+metric speed, exactly s times as large), and scaling the depth with the
+path translations leaves the `signal-from-path` bytes unchanged. The relations
 need no recorded bytes, so they survive changes that move outputs at the
 rounding floor.
 
@@ -117,6 +118,15 @@ def scaled_copy(clip, out, s):
     return out
 
 
+def segment(clip):
+    out = clip / "segment"
+    argv = ["--quiet", "segment", "--tracks", str(clip / "tracks.tct"), "--depth-dir", str(clip),
+            "--intrinsics", str(clip / "intrinsics.json"), "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads((out / "report.json").read_text())
+    return (out / "mask.pgm").read_bytes(), report, load_path(out / "motions.json").motions
+
+
 def signal_from_video(clip):
     out = clip / "signal.tcs"
     argv = ["--quiet", "signal-from-video", "--tracks", str(clip / "tracks.tct"), "--depth-dir", str(clip),
@@ -131,6 +141,25 @@ def signal_from_path(clip, strength):
             "--path", str(clip / "path.json"), "--motion-strength", strength, "--out", str(out)]
     assert main(argv) == 0
     return out.read_bytes()
+
+
+@CLI
+@given(seed=st.integers(0, 2**31 - 1), noise=st.sampled_from([0.0, 0.5]), k=st.integers(-8, 8))
+@example(seed=11, noise=0.5, k=-8)
+@example(seed=11, noise=0.5, k=8)
+def test_segment_mask_and_report_are_scale_invariant(seed, noise, k):
+    s = 2.0**k
+    with tempfile.TemporaryDirectory() as work:
+        clip = synth_clip(Path(work), seed, noise)
+        base_mask, base_report, base_motions = segment(clip)
+        got_mask, got_report, got_motions = segment(scaled_copy(clip, Path(work) / "scaled", s))
+    assert got_mask == base_mask
+    scale_free = ("status", "iterations", "eps_max_trace", "static_fraction", "diagnostics")
+    assert [got_report[key] for key in scale_free] == [base_report[key] for key in scale_free]
+    for m_got, m_base in zip(got_motions, base_motions, strict=True):
+        assert np.array_equal(m_got.rotation, m_base.rotation)
+        assert np.array_equal(m_got.translation, m_base.translation * s)
+    assert any(m.translation.any() for m in base_motions)  # the relation is not 0 == 0
 
 
 @CLI

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from camsig.geometry import Intrinsics, geodesic_angle, project, so3_exp, so3_log
-from camsig.rigidfit import FitConfig, fit_rigid, fit_rigid_frames, reproj_cost_grad
+from camsig import rigidfit
+from camsig.rigidfit import fit_rigid, fit_rigid_frames, reproj_cost_grad
 from camsig.synth import DynamicObject, SceneSpec, generate_scene
 from test_segmentation import KWIDE
 from util import K64, pan_roll_path, random_points, rng
@@ -146,17 +147,11 @@ class TestFitRigid:
         moved = fit_rigid(p0, shifted, np.ones(n, dtype=bool), K64, np.zeros(6))
         assert abs(moved.final_cost - base.final_cost) < 1e-9
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FitConfig(max_iterations=0)
-        for tol in (0.0, -1e-10):
-            with pytest.raises(ValueError):
-                FitConfig(gradient_tolerance=tol)
-
-    def test_iteration_limit_stops_unconverged(self):
+    def test_iteration_limit_stops_unconverged(self, monkeypatch):
+        monkeypatch.setattr(rigidfit, "_MAX_ITERATIONS", 1)
         gen = rng(28)
         p0, obs, mask, _ = make_frame(gen, w_scale=0.3, t_scale=0.5)
-        result = fit_rigid(p0, obs, mask, K64, np.zeros(6), FitConfig(max_iterations=1))
+        result = fit_rigid(p0, obs, mask, K64, np.zeros(6))
         assert result.iterations == 1
         assert result.converged is False
         assert len(result.cost_trace) == 2
@@ -172,17 +167,6 @@ class TestFitRigid:
         assert np.isfinite(result.motion.rotation).all()
         assert np.isfinite(result.motion.translation).all()
         assert np.isfinite(result.final_cost)
-
-
-    def test_config_rejects_non_finite_tolerance_and_fractional_iterations(self):
-        for tol in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="gradient tolerance"):
-                FitConfig(gradient_tolerance=tol)
-        for count in (2.5, np.nan, np.inf):
-            with pytest.raises(ValueError, match="iteration count"):
-                FitConfig(max_iterations=count)
-        assert FitConfig(max_iterations=3.0).max_iterations == 3
-        assert FitConfig(max_iterations=10**400).max_iterations == 10**400  # beyond float range
 
 
 class TestBatch:
@@ -209,24 +193,25 @@ class TestBatch:
         init = np.array([near + 1e-3, np.zeros(6), np.zeros(6)])
         return points0, observed, masks, init
 
-    def test_rank_deficient_and_capped_frames_in_one_batch(self):
+    def test_rank_deficient_and_capped_frames_in_one_batch(self, monkeypatch):
         points0, observed, masks, init = self.batch()
-        cap = FitConfig(max_iterations=6)
+        cap = 6
         uncapped = fit_rigid_frames(points0, observed, masks, K64, init)[1]
         assert uncapped[0].converged and uncapped[2].converged
-        assert uncapped[0].iterations < cap.max_iterations < uncapped[2].iterations
+        assert uncapped[0].iterations < cap < uncapped[2].iterations
         assert uncapped[1].iterations == 20  # μ passes 1e16 after 20 rejected steps
 
-        params, fits = fit_rigid_frames(points0, observed, masks, K64, init, cap)
+        monkeypatch.setattr(rigidfit, "_MAX_ITERATIONS", cap)
+        params, fits = fit_rigid_frames(points0, observed, masks, K64, init)
         normal, deficient, capped = fits
         assert normal.converged and normal.iterations == uncapped[0].iterations
-        alone_params, (alone,) = fit_rigid_frames(points0, observed[:1], masks[:1], K64, init[:1], cap)
+        alone_params, (alone,) = fit_rigid_frames(points0, observed[:1], masks[:1], K64, init[:1])
         assert abs(normal.final_cost - alone.final_cost) <= 1e-9 * alone.final_cost
         assert np.allclose(params[0], alone_params[0], rtol=1e-9, atol=0.0)
-        assert deficient.converged is False and deficient.iterations == cap.max_iterations
+        assert deficient.converged is False and deficient.iterations == cap
         assert np.array_equal(params[1], init[1]) and np.isfinite(deficient.final_cost)
         assert np.isfinite(deficient.motion.rotation).all() and np.isfinite(deficient.motion.translation).all()
-        assert capped.converged is False and capped.iterations == cap.max_iterations
+        assert capped.converged is False and capped.iterations == cap
         assert [len(f.cost_trace) for f in fits] == [f.iterations + 1 for f in fits]
 
     def test_single_frame_fit_is_a_batch_of_one(self):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from camsig import rigidfit
-from camsig.geometry import BLOCK, Intrinsics, geodesic_angle
-from camsig.rigidfit import FitConfig
+from camsig import rigidfit, segmentation
+from camsig.geometry import BLOCK, Intrinsics, geodesic_angle, unproject
+from camsig.rigidfit import NumericalError
 from camsig.segmentation import (
     STATUS_CONVERGED_EPS,
     STATUS_CONVERGED_FULL,
@@ -87,9 +87,10 @@ def test_eps_trace_monotone_noise_free():
     assert result.diagnostics == []
 
 
-def test_degenerate_guard():
+def test_degenerate_guard(monkeypatch):
     # Over half the grid is dynamic; with a 60% floor the re-threshold
     # cannot keep enough points and the previous partition is returned.
+    monkeypatch.setattr(segmentation, "_MIN_STATIC_FRACTION", 0.6)
     objects = [DynamicObject(center=(15.5, 15.5), radius=14.0, velocity=(0.08, 0.0, 0.0))]
     spec = SceneSpec(
         frames=6, grid_h=32, grid_w=32, intrinsics=K32,
@@ -97,8 +98,7 @@ def test_degenerate_guard():
     )
     path = pan_roll_path(6, pan=0.1, roll=0.05)
     gt = generate_scene(spec, path)
-    config = SegmentationConfig(min_static_fraction=0.6)
-    result = extract_static(gt.field, config)
+    result = extract_static(gt.field)
     assert result.status == STATUS_DEGENERATE
     assert result.partition.static_mask.all()  # last valid iteration started from all
     assert result.diagnostics
@@ -106,9 +106,10 @@ def test_degenerate_guard():
 
 def test_underdetermined_initial_set_is_degenerate():
     gt, _ = quad_object_scene()
-    initial = np.zeros(gt.field.num_points, dtype=bool)
-    initial[:2] = True
-    result = extract_static(gt.field, initial_static=initial)
+    vis = gt.field.visibility.copy()
+    vis[1, 2:] = False  # frame 1 sees two points of the all-static start
+    field = TrajectoryField(gt.field.positions, vis, gt.field.grid_h, gt.field.grid_w, K32)
+    result = extract_static(field)
     assert result.status == STATUS_DEGENERATE
     assert result.iterations_used == 0
     assert result.diagnostics == [
@@ -116,10 +117,10 @@ def test_underdetermined_initial_set_is_degenerate():
     ]
 
 
-def test_unconverged_fit_reported():
+def test_unconverged_fit_reported(monkeypatch):
+    monkeypatch.setattr(rigidfit, "_MAX_ITERATIONS", 1)
     gt, _ = quad_object_scene(frames=3)
-    config = SegmentationConfig(max_iterations=1, fit=FitConfig(max_iterations=1))
-    result = extract_static(gt.field, config)
+    result = extract_static(gt.field, SegmentationConfig(max_iterations=1))
     assert result.diagnostics == [
         "rigid fit of frame 1 did not converge in segmentation iteration 1 (1 solver iterations)",
         "rigid fit of frame 2 did not converge in segmentation iteration 1 (1 solver iterations)",
@@ -129,8 +130,8 @@ def test_unconverged_fit_reported():
 
 def test_unconverged_fits_reported_in_frame_order_with_own_counts(monkeypatch):
     gt, _ = quad_object_scene(frames=8)
-    config = SegmentationConfig(max_iterations=2, fit=FitConfig(max_iterations=1))
-    result = extract_static(gt.field, config)
+    monkeypatch.setattr(rigidfit, "_MAX_ITERATIONS", 1)
+    result = extract_static(gt.field, SegmentationConfig(max_iterations=2))
     reported = [d for d in result.diagnostics if d.startswith("rigid fit")]
     assert reported[:7] == [
         f"rigid fit of frame {lam} did not converge in segmentation iteration 1 (1 solver iterations)"
@@ -149,8 +150,8 @@ def test_unconverged_fits_reported_in_frame_order_with_own_counts(monkeypatch):
         return fits
 
     monkeypatch.setattr(rigidfit, "_lm_chunk", recording)
-    capped = SegmentationConfig(max_iterations=1, fit=FitConfig(max_iterations=8))
-    result = extract_static(gt.field, capped)
+    monkeypatch.setattr(rigidfit, "_MAX_ITERATIONS", 8)
+    result = extract_static(gt.field, SegmentationConfig(max_iterations=1))
     assert {conv for _, conv in counts} == {True, False}
     assert result.diagnostics == [
         f"rigid fit of frame {lam} did not converge in segmentation iteration 1 ({n} solver iterations)"
@@ -161,13 +162,13 @@ def test_unconverged_fits_reported_in_frame_order_with_own_counts(monkeypatch):
 def test_underdetermined_names_the_first_short_frame():
     gen = rng(33)
     field = transported_field(K32, smooth_motions(6, gen), gen=gen)
-    initial = np.zeros(field.num_points, dtype=bool)
-    initial[[40, 200, 500, 700]] = True
     vis = field.visibility.copy()
-    vis[3, [200, 500]] = False  # frames 3 and 5 keep fewer than 3 of the 4
+    vis[3:, :] = False  # frames 3-5 see four points; frames 3 and 5 then lose two
+    vis[3:, [40, 200, 500, 700]] = True
+    vis[3, [200, 500]] = False
     vis[5, [40, 700]] = False
     field = TrajectoryField(field.positions, vis, field.grid_h, field.grid_w, K32)
-    result = extract_static(field, initial_static=initial)
+    result = extract_static(field)
     assert result.status == STATUS_DEGENERATE and result.iterations_used == 0
     assert result.diagnostics == [
         "fewer than 3 visible static points in frame 3; keeping previous iteration"
@@ -178,9 +179,9 @@ def test_one_solver_call_per_chunk_never_per_frame(monkeypatch):
     calls = []
     solve = rigidfit._lm_chunk
 
-    def counting(p, ov, wt, k, x, cfg):
+    def counting(p, ov, wt, k, x):
         calls.append((len(x), p.shape[2]))
-        return solve(p, ov, wt, k, x, cfg)
+        return solve(p, ov, wt, k, x)
 
     monkeypatch.setattr(rigidfit, "_lm_chunk", counting)
     gt, _ = quad_object_scene(frames=12)
@@ -225,13 +226,6 @@ def test_converged_full_status():
     assert result.partition.static_mask.all()
 
 
-def test_idempotent_under_rerun_with_result():
-    gt, _ = quad_object_scene()
-    first = extract_static(gt.field)
-    second = extract_static(gt.field, initial_static=first.partition.static_mask)
-    assert np.array_equal(second.partition.static_mask, first.partition.static_mask)
-
-
 def test_occluded_static_point_still_classified_static():
     gt, _ = quad_object_scene()
     vis = gt.field.visibility.copy()
@@ -259,8 +253,6 @@ def test_config_validation():
         SegmentationConfig(alpha=1.5)
     with pytest.raises(ValueError):
         SegmentationConfig(epsilon=-1.0)
-    with pytest.raises(ValueError):
-        SegmentationConfig(min_static_fraction=0.0)
 
 
 
@@ -275,4 +267,27 @@ def test_needs_two_frames():
     gen = rng(32)
     field = transported_field(K32, smooth_motions(2, gen)[:1], gen=gen)
     with pytest.raises(ValueError, match="two frames"):
+        extract_static(field)
+
+
+def test_singular_damped_solve_is_a_numerical_error():
+    # A segment_noisy clip with one visible point lifted far outside the
+    # image: its residual dwarfs the rest, and rounding makes a damped
+    # normal matrix singular even though JᵀJ has a positive diagonal.
+    objects = [
+        DynamicObject(center=(8.0, 8.0), radius=4.6, velocity=(0.08, 0.0, 0.0)),
+        DynamicObject(center=(23.0, 8.0), radius=4.6, velocity=(-0.08, 0.0, 0.0)),
+        DynamicObject(center=(8.0, 23.0), radius=4.6, velocity=(0.0, 0.08, 0.0)),
+        DynamicObject(center=(23.0, 23.0), radius=4.6, velocity=(0.0, -0.08, 0.0)),
+    ]
+    spec = SceneSpec(
+        frames=12, grid_h=32, grid_w=32, intrinsics=KWIDE,
+        z_near=1.5, z_far=2.5, depth_jitter=0.5, objects=objects,
+        track_noise=0.5, seed=1411469411,
+    )
+    field = generate_scene(spec, pan_roll_path(12, pan=0.2, roll=0.1)).field
+    positions = field.positions.copy()
+    positions[6, 0] = unproject(np.array([1e15, 0.0]), 1e15, KWIDE)
+    field = TrajectoryField(positions, field.visibility, field.grid_h, field.grid_w, KWIDE)
+    with pytest.raises(NumericalError, match="singular"):
         extract_static(field)
