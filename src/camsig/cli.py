@@ -129,7 +129,7 @@ def cmd_synth(args) -> int:
         write_depth(out / f"depth_{lam:04d}.tcd", depth_img)
     write_tracks(out / "tracks.tct", Tracks(uv, field.visibility & in_image(uv, k)))
     save_path(path, out / "path.json")
-    write_pgm(out / "partition.pgm", np.where(gt.partition.static_mask, 255, 0).astype(np.uint8))
+    write_pgm(out / "partition.pgm", np.multiply(gt.partition.static_mask, 255, dtype=np.uint8))
     write_ppm(out / "rgb0.ppm", gt.rgb0)
     write_json(out / "scene.json", scene_to_dict(spec))
     return 0
@@ -177,7 +177,7 @@ def cmd_segment(args) -> int:
     _, result = _extract(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_pgm(out / "mask.pgm", np.where(result.partition.static_mask, 255, 0).astype(np.uint8))
+    write_pgm(out / "mask.pgm", np.multiply(result.partition.static_mask, 255, dtype=np.uint8))
     save_path(CameraPath(result.motions), out / "motions.json")
     _write_json(
         out / "report.json",

@@ -3,7 +3,8 @@
 Every pixel of the first frame is lifted at its depth, transported by each
 frame's rigid motion, projected, and splatted to its nearest pixel with a
 z-buffer. No hole filling and no point radius: gaps are informative, and
-uncovered pixels show mid-gray with an explicit coverage mask.
+uncovered pixels show mid-gray with an explicit coverage mask. Each working
+array of the splat is an anonymous mapping of its own, outside malloc's heap.
 """
 
 from __future__ import annotations
@@ -48,51 +49,35 @@ class PreviewFrames:
             raise ValueError("coverage dimensions do not match frames")
 
 
-def _nbytes(dtype, shape) -> int:
-    """Bytes of an array rounded up to whole 64-byte lines, so every carved array stays aligned."""
-    return -(-np.dtype(dtype).itemsize * math.prod(shape) // 64) * 64
-
-
-def _carve(buffer, layout):
-    """Consecutive views of the flat byte buffer, one per (dtype, shape) of layout."""
-    start = 0
-    for dtype, shape in layout:
-        yield buffer[start : start + np.dtype(dtype).itemsize * math.prod(shape)].view(dtype).reshape(shape)
-        start += _nbytes(dtype, shape)
-
-
-def _mapped(size: int) -> np.ndarray:
-    """A byte array in an anonymous mapping of its own.
+def _mapped(dtype, shape) -> np.ndarray:
+    """An uninitialised array in an anonymous mapping of its own.
 
     The memory goes back to the OS when the last view of it is dropped,
     whatever malloc's thresholds: freed heap memory, which worker threads
-    leave in their own arenas, is kept by the process.
+    leave in their own arenas, is kept by the process. An empty mapping is
+    refused, so at least one byte is mapped.
     """
-    return np.frombuffer(mmap.mmap(-1, size), dtype=np.uint8)
+    size = np.dtype(dtype).itemsize * math.prod(shape)
+    return np.ndarray(shape, dtype=dtype, buffer=mmap.mmap(-1, max(size, 1)))
 
 
-def _splat_layout(n: int, values, k: Intrinsics):
-    """(dtype, shape) of each working array of the splat, in buffer order."""
+def splat_work(n: int, values, k: Intrinsics) -> tuple:
+    """The working arrays of splat_zbuffer for n points of this payload, each mapped on its own."""
     pixels = k.height * k.width
     payload = values.shape[1:]
     return (
-        (float, (2, n)),  # pinhole's u, v; rounded; then the gathered nearest depths
-        (bool, (n,)),  # in front of the camera
-        (bool, (n,)),  # kept
-        (bool, (n,)),  # scratch
-        (np.intp, (n,)),  # pixel index; H·W, the spare pixel, for a dropped point
-        (np.intp, (n,)),  # source index
-        (float, (pixels + 1,)),  # nearest depth per pixel, then the spare pixel
-        (np.intp, (pixels + 1,)),  # winning source index per pixel, then the spare pixel
-        (values.dtype, (n + 1,) + payload),  # the payload and a zero row
-        (values.dtype, (pixels,) + payload),  # image
-        (bool, (pixels,)),  # coverage
+        _mapped(float, (2, n)),  # pinhole's u, v; rounded; then the gathered nearest depths
+        _mapped(bool, (n,)),  # in front of the camera
+        _mapped(bool, (n,)),  # kept
+        _mapped(bool, (n,)),  # scratch
+        _mapped(np.intp, (n,)),  # pixel index; H·W, the spare pixel, for a dropped point
+        _mapped(np.intp, (n,)),  # source index
+        _mapped(float, (pixels + 1,)),  # nearest depth per pixel, then the spare pixel
+        _mapped(np.intp, (pixels + 1,)),  # winning source index per pixel, then the spare pixel
+        _mapped(values.dtype, (n + 1,) + payload),  # the payload and a zero row
+        _mapped(values.dtype, (pixels,) + payload),  # image
+        _mapped(bool, (pixels,)),  # coverage
     )
-
-
-def splat_buffer_size(n: int, values, k: Intrinsics) -> int:
-    """Bytes of the working buffer that splat_zbuffer needs for n points of this payload."""
-    return sum(_nbytes(dtype, shape) for dtype, shape in _splat_layout(n, values, k))
 
 
 def _fill_arange(out):
@@ -120,19 +105,18 @@ def splat_zbuffer(points, values, k: Intrinsics, *, buffer=None):
     payload extended by a zero row, which index n (an uncovered pixel)
     reads.
 
-    buffer is a flat uint8 array of at least splat_buffer_size(N, values,
-    k) bytes. Every step writes into it, and the image and coverage are
-    views of it, valid until its next use. Without one, the splat allocates
-    its own and returns copies.
+    buffer is the tuple splat_work(N, values, k). Every step writes into
+    its arrays, and the image and coverage are views of its last two, valid
+    until its next use. Without one, the splat makes its own and returns
+    its image and coverage as they are, each a view of its own mapping.
     """
     h, w = k.height, k.width
     n, pixels = len(points), h * w
-    own = buffer is None
-    if own:
-        buffer = _mapped(splat_buffer_size(n, values, k))
-    cols, front, keep, test, lin, source, zbuf, ibuf, ext, image, coverage = _carve(
-        buffer, _splat_layout(n, values, k)
-    )
+    if len(values) != n:
+        raise ValueError(f"payload has {len(values)} rows for {n} points")
+    if buffer is None:
+        buffer = splat_work(n, values, k)
+    cols, front, keep, test, lin, source, zbuf, ibuf, ext, image, coverage = buffer
     uv, _ = pinhole(points, k, buffer=(cols, front))
     in_image(uv, k, buffer=(keep, test))
     keep &= front
@@ -159,16 +143,15 @@ def splat_zbuffer(points, values, k: Intrinsics, *, buffer=None):
     ext[n] = 0
     np.take(ext, ibuf[:pixels], axis=0, out=image, mode="clip")
     np.less(ibuf[:pixels], n, out=coverage)
-    image, coverage = image.reshape((h, w) + values.shape[1:]), coverage.reshape(h, w)
-    return (image.copy(), coverage.copy()) if own else (image, coverage)
+    return image.reshape((h, w) + values.shape[1:]), coverage.reshape(h, w)
 
 
 def render_preview(frame0: RgbdFrame, path: CameraPath, threads: int = 1) -> PreviewFrames:
     """Render the RGBD cloud of frame 0 under every motion of the path.
 
     Each of min(threads, T) workers renders every frame of its share (every
-    workers-th frame) in one working buffer, mapped once per call, so no
-    frame allocates memory the size of the image.
+    workers-th frame) in one set of working arrays, each mapped on its own
+    once per call, so no frame allocates memory the size of the image.
     """
     k = frame0.intrinsics
     h, w = k.height, k.width
@@ -187,13 +170,12 @@ def render_preview(frame0: RgbdFrame, path: CameraPath, threads: int = 1) -> Pre
     frames = np.empty((t, h, w, 3), dtype=np.uint8)
     coverage = np.empty((t, h, w), dtype=bool)
     workers = min(threads, t)
-    layout = ((float, (3, n)), (float, (n,)), (np.uint8, (splat_buffer_size(n, words, k),)))
-    buffers = [_mapped(sum(_nbytes(*array) for array in layout)) for _ in range(workers)]
+    work = [(_mapped(float, (3, n)), _mapped(float, (n,)), splat_work(n, words, k)) for _ in range(workers)]
 
     def render_frames(worker):
-        cols, term, work = _carve(buffers[worker], layout)
+        cols, term, splat = work[worker]
         for lam in range(worker, t, workers):
-            image, cov = splat_zbuffer(apply(path[lam], p0, buffer=(cols, term)), words, k, buffer=work)
+            image, cov = splat_zbuffer(apply(path[lam], p0, buffer=(cols, term)), words, k, buffer=splat)
             image ^= background
             frames[lam] = image.view(np.uint8).reshape(h, w, 4)[..., :3]
             coverage[lam] = cov

@@ -9,12 +9,16 @@ for `segment` (the same mask bytes and report, translations exactly s
 times as large) and for the two signal commands: scaling the depth files
 changes a `signal-from-video` tensor only in its strength channel (a
 metric speed, exactly s times as large), and scaling the depth with the
-path translations leaves the `signal-from-path` bytes unchanged. The relations
-need no recorded bytes, so they survive changes that move outputs at the
-rounding floor.
+path translations leaves the `signal-from-path` bytes unchanged. Scaling a
+scene's lengths and its path translations scales every `synth` depth map
+exactly and leaves its track bytes, the `preview` bytes and the `eval`
+rotation and translation errors of the segmented motions unchanged. The
+relations need no recorded bytes, so they survive changes that move outputs
+at the rounding floor.
 
 The runs are deterministic (derandomized, no example database): synthetic
-32x32 scenes of 12 frames with moving discs, without and with track noise.
+32x32 scenes of 12 frames with moving discs, without and with track noise,
+and 32x24 scenes of 6 frames with one moving disc under a zoom.
 """
 
 import json
@@ -26,9 +30,9 @@ import numpy as np
 from hypothesis import configuration, example, given, settings
 from hypothesis import strategies as st
 
-from camsig.campath import CameraPath, load_path, save_path
+from camsig.campath import CameraPath, PrimitiveSpec, generate_primitive, load_path, save_path
 from camsig.cli import main
-from camsig.geometry import RigidMotion, write_json
+from camsig.geometry import Intrinsics, RigidMotion, write_json
 from camsig.io import read_depth, read_tensor, write_depth
 from camsig.segmentation import extract_static
 from camsig.synth import DynamicObject, SceneSpec, generate_scene, scene_to_dict
@@ -188,3 +192,83 @@ def test_signal_from_path_bytes_are_scale_invariant(seed, k, strength):
         base = signal_from_path(clip, strength)
         got = signal_from_path(scaled_copy(clip, Path(work) / "scaled", 2.0**k), strength)
     assert got == base
+
+
+K24 = Intrinsics(fx=20.0, fy=20.0, cx=15.5, cy=11.5, width=32, height=24)
+
+
+def zoom_clip(work, seed, s):
+    """`camsig synth` of a one-disc scene under a zoom, with its lengths and translations times s."""
+    spec = SceneSpec(
+        frames=6, grid_h=24, grid_w=32, intrinsics=K24, z_near=1.5 * s, z_far=2.5 * s, depth_jitter=0.4 * s,
+        objects=[DynamicObject(center=(12.0, 10.0), radius=4.6, velocity=(0.06 * s, 0.03 * s, 0.0))],
+        track_noise=0.3, seed=seed,
+    )
+    motions = generate_primitive(PrimitiveSpec("zoom_in", 0.6, 6)).motions
+    work.mkdir()
+    write_json(work / "scene.json", scene_to_dict(spec))
+    save_path(CameraPath([RigidMotion(m.rotation, m.translation * s) for m in motions]), work / "path.json")
+    clip = work / "clip"
+    assert main(["synth", "--scene", str(work / "scene.json"), "--path", str(work / "path.json"), "--out", str(clip)]) == 0
+    write_json(clip / "intrinsics.json", K24.to_dict())
+    return clip
+
+
+def zoom_clips(work, seed, k):
+    return zoom_clip(Path(work) / "base", seed, 1.0), zoom_clip(Path(work) / "scaled", seed, 2.0**k)
+
+
+def preview(clip):
+    out = clip / "preview"
+    argv = ["--threads", "2", "preview", "--rgb", str(clip / "rgb0.ppm"), "--depth", str(clip / "depth_0000.tcd"),
+            "--intrinsics", str(clip / "intrinsics.json"), "--path", str(clip / "path.json"), "--out", str(out)]
+    assert main(argv) == 0
+    return {file.name: file.read_bytes() for file in sorted(out.iterdir())}
+
+
+def evaluate(clip):
+    segment(clip)
+    out = clip / "eval.json"
+    argv = ["eval", "--gt", str(clip / "path.json"), "--est", str(clip / "segment" / "motions.json"), "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())
+    return report["rot_err"], report["trans_err"]
+
+
+ZOOM = given(seed=st.integers(0, 2**31 - 1), k=st.integers(-8, 10))
+
+
+@CLI
+@ZOOM
+@example(seed=5, k=-8)
+@example(seed=5, k=10)
+def test_synth_depth_scales_exactly_and_track_bytes_are_scale_invariant(seed, k):
+    with tempfile.TemporaryDirectory() as work:
+        base, got = zoom_clips(work, seed, k)
+        assert (got / "tracks.tct").read_bytes() == (base / "tracks.tct").read_bytes()
+        for lam in range(6):
+            depth = read_depth(base / f"depth_{lam:04d}.tcd")
+            assert np.array_equal(read_depth(got / f"depth_{lam:04d}.tcd"), depth * 2.0**k)
+            assert depth.any()  # the relation is not 0 == 0
+
+
+@CLI
+@ZOOM
+@example(seed=5, k=-8)
+@example(seed=5, k=10)
+def test_preview_bytes_are_scale_invariant(seed, k):
+    with tempfile.TemporaryDirectory() as work:
+        base, got = zoom_clips(work, seed, k)
+        assert preview(got) == preview(base)
+
+
+@CLI
+@ZOOM
+@example(seed=5, k=-8)
+@example(seed=5, k=10)
+def test_eval_errors_of_the_segmented_motions_are_scale_invariant(seed, k):
+    with tempfile.TemporaryDirectory() as work:
+        base, got = zoom_clips(work, seed, k)
+        base_errors = evaluate(base)
+        assert evaluate(got) == base_errors
+    assert base_errors[1] > 0.0  # the segmented translations are not exact

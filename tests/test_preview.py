@@ -7,7 +7,7 @@ import pytest
 from camsig import preview
 from camsig.campath import CameraPath, PrimitiveSpec, generate_primitive
 from camsig.geometry import Intrinsics, RigidMotion, unproject
-from camsig.preview import BACKGROUND, RgbdFrame, render_preview, splat_buffer_size, splat_zbuffer
+from camsig.preview import BACKGROUND, RgbdFrame, render_preview, splat_work, splat_zbuffer
 from camsig.trajfield import grid_sample_uv
 from test_splat_reference import payloads, reference_splat
 from util import K32, identity_motions, rng, smooth_motions
@@ -204,10 +204,10 @@ def test_threaded_render_matches_serial():
 
 
 def test_splat_into_a_reused_dirty_buffer_matches_its_own():
-    # Every step overwrites what it reads, so a buffer full of garbage, used
-    # again for another cloud, gives the splat's own result; the image and
-    # coverage are views of the buffer. A NaN coordinate drops its point
-    # and raises no warning.
+    # Every step overwrites what it reads, so work arrays full of garbage,
+    # used again for another cloud of the same size, give the splat's own
+    # result; the image and coverage are views of the work tuple's. A NaN
+    # coordinate drops its point and raises no warning.
     gen = rng(54)
     k = K32
     depth = gen.uniform(1.0, 3.0, k.height * k.width)
@@ -215,19 +215,51 @@ def test_splat_into_a_reused_dirty_buffer_matches_its_own():
     holed = points * [1.0, 1.0, 2.5]
     holed[[3, 40, 500]] = [[np.nan, 0.0, 2.0], [0.0, np.nan, 2.0], [0.1, 0.1, np.nan]]
     clouds = [points, holed, points[::3] + [0.3, -0.2, 0.0], points[:0]]
+
+    def dirty_work(n, values):
+        work = splat_work(n, values, k)
+        for array in work:
+            raw = array.reshape(-1).view(np.uint8)
+            raw[:] = np.frombuffer(gen.bytes(raw.size), dtype=np.uint8)
+        return work
+
     for values in payloads(points):
-        size = splat_buffer_size(len(points), values, k)
-        buffer = np.frombuffer(gen.bytes(size), dtype=np.uint8).copy()
+        full = dirty_work(len(points), values)
         for cloud in clouds:
             payload = values[: len(cloud)]
-            image, coverage = splat_zbuffer(cloud, payload, k, buffer=buffer)
+            work = full if len(cloud) == len(points) else dirty_work(len(cloud), payload)
+            image, coverage = splat_zbuffer(cloud, payload, k, buffer=work)
             want = splat_zbuffer(cloud, payload, k)
-            assert np.shares_memory(image, buffer) and np.shares_memory(coverage, buffer)
+            assert np.shares_memory(image, work[-2]) and np.shares_memory(coverage, work[-1])
             assert np.array_equal(image, want[0]) and np.array_equal(coverage, want[1])
-            assert want[0].flags.owndata and want[1].flags.owndata
             with np.errstate(invalid="ignore"):  # the reference casts NaN to int64
                 ref = reference_splat(cloud, payload, k)
             assert np.array_equal(image, ref[0]) and np.array_equal(coverage, ref[1])
+
+
+def test_splat_rejects_a_payload_of_another_length():
+    # A one-row payload must not be broadcast to every point.
+    points = np.array([[0.0, 0.0, 2.0], [0.5, 0.0, 2.0], [0.0, 0.5, 3.0]])
+    for values in (np.array([7.0]), np.arange(4.0)):
+        with pytest.raises(ValueError, match=f"{len(values)} rows for 3 points"):
+            splat_zbuffer(points, values, K32)
+
+
+def test_unbuffered_splat_returns_its_work_arrays_without_copies():
+    # The image and coverage are views of the splat's own mappings, outside
+    # the heap, so tracemalloc sees none of its working memory. Copying
+    # them out would add 9 B/px for a float payload.
+    k = Intrinsics(fx=256.0, fy=256.0, cx=127.5, cy=127.5, width=256, height=256)
+    points = unproject(grid_sample_uv(k.height, k.width, k), rng(55).uniform(1.0, 3.0, k.height * k.width), k)
+    z = points[:, 2]
+    tracemalloc.start()
+    try:
+        image, coverage = splat_zbuffer(points, z, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(image, z.reshape(k.height, k.width)) and coverage.all()
+    assert peak / (k.height * k.width) < 2.0
 
 
 @pytest.mark.parametrize("threads", [1, 2])
