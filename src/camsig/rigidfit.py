@@ -25,9 +25,10 @@ from camsig.geometry import BLOCK, Intrinsics, RigidMotion, Z_MIN, so3_exp_batch
 _MU_INIT = 1e-3
 _MU_FACTOR = 10.0
 _MU_MAX = 1e16
-# A trial step that changes the cost by at most this fraction, either way,
-# ends the fit as converged: the cost has reached its rounding floor.
-_REL_CHANGE = 1e-15
+# A trial step that changes the cost f by at most n·_U·f, either way, ends
+# the fit as converged: the rounding error of a mean over n squared
+# residuals grows like n·u, so past that change the cost no longer moves.
+_U = float(np.finfo(float).eps)
 # A fit also ends as converged when the gradient's largest entry, per unit
 # that moves the points 1 px RMS, is at most _GRADIENT_TOLERANCE, and ends
 # unconverged after _MAX_ITERATIONS iterations.
@@ -40,13 +41,22 @@ class NumericalError(RuntimeError):
     """Optimization produced a non-finite cost or gradient, or a singular solve."""
 
 
+# Why a fit stopped. The first three are converged: "gradient" and "floor"
+# at full precision, "coarse" at the caller's looser relative cost change.
+STOPS = ("gradient", "floor", "coarse", "mu_limit", "max_iterations")
+
+
 @dataclass(eq=False)
 class FitResult:
     motion: RigidMotion
     final_cost: float  # mean squared reprojection error, px^2
     iterations: int
-    converged: bool
+    stop: str  # one of STOPS
     cost_trace: np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in STOPS[:3]
 
 
 def _normal_equations(p, ov, wt, k, x):
@@ -117,10 +127,10 @@ def reproj_cost_grad(points0, observed, mask, k: Intrinsics, params):
     return float(cost[0]), (2.0 / max(n[0], 1.0)) * jtr[0]
 
 
-def _lm_chunk(p, ov, wt, k: Intrinsics, x) -> list:
+def _lm_chunk(p, ov, wt, k: Intrinsics, x, coarse: float) -> list:
     """Levenberg–Marquardt on one chunk of frames; x (F×6) is updated in place.
 
-    Each frame keeps its own damping, stop flag, iteration count and cost
+    Each frame keeps its own damping, stop reason, iteration count and cost
     trace. A round makes one stacked solve and one evaluation of the running
     frames; a frame that stops drops out of later rounds.
     """
@@ -132,19 +142,20 @@ def _lm_chunk(p, ov, wt, k: Intrinsics, x) -> list:
             raise NumericalError(f"numerical failure: non-finite cost at params {params[bad[0]].tolist()}")
         scale = np.sqrt(n[:, None] * np.diagonal(jtj, axis1=1, axis2=2))  # px RMS per unit
         grad = 2.0 * np.abs(jtr) / np.where(scale > 0.0, scale, 1.0)
-        return cost, jtj, jtr, (n > 0.0) & (grad.max(axis=1) <= _GRADIENT_TOLERANCE)
+        return cost, jtj, jtr, n, (n > 0.0) & (grad.max(axis=1) <= _GRADIENT_TOLERANCE)
 
     nf = len(x)
-    f, h, g, converged = evaluate(p, ov, wt, x)
+    f, h, g, _, small = evaluate(p, ov, wt, x)
     if not np.isfinite(f).all():
         at = x[np.argmin(np.isfinite(f))].tolist()
         raise NumericalError(f"numerical failure: no point projects in front of the camera at init {at}")
     traces = [[cost] for cost in f]
+    stop = np.where(small, "gradient", "").astype(object)  # "" while running
     mu = np.full(nf, _MU_INIT)
     iterations = np.zeros(nf, dtype=int)
     diag = np.arange(6)
     rows = np.arange(nf)  # the running frames, whose blocks p, ov and wt hold
-    running = ~converged
+    running = stop == ""
     while running.any():
         if not running[rows].all():
             keep = np.flatnonzero(running[rows])
@@ -173,10 +184,13 @@ def _lm_chunk(p, ov, wt, k: Intrinsics, x) -> list:
         if ok.any():
             sub = slice(None) if ok.all() else ok
             tried, x_new = rows[sub], x[rows[sub]] + step[sub]
-            f_new, h_new, g_new, small = evaluate(p[sub], ov[sub], wt[sub], x_new)
+            f_new, h_new, g_new, n_new, small = evaluate(p[sub], ov[sub], wt[sub], x_new)
             won = f_new <= f[tried]
-            converged[tried] = np.abs(f_new - f[tried]) <= _REL_CHANGE * f[tried]
-            converged[tried[won]] |= small[won]
+            change = np.abs(f_new - f[tried])
+            stop[tried] = np.where(
+                change <= n_new * _U * f[tried], "floor", np.where(change <= coarse * f[tried], "coarse", "")
+            )
+            stop[tried[won & small]] = "gradient"
             accepted[tried[won]] = True
             x[tried[won]], f[tried[won]], h[tried[won]], g[tried[won]] = (
                 x_new[won], f_new[won], h_new[won], g_new[won]
@@ -184,18 +198,20 @@ def _lm_chunk(p, ov, wt, k: Intrinsics, x) -> list:
         mu[rows] *= np.where(accepted[rows], 1.0 / _MU_FACTOR, _MU_FACTOR)
         for i in rows:
             traces[i].append(f[i])
-        running = ~converged & (iterations < _MAX_ITERATIONS) & (mu <= _MU_MAX)
+        running = (stop == "") & (iterations < _MAX_ITERATIONS) & (mu <= _MU_MAX)
+    stop[(stop == "") & (iterations >= _MAX_ITERATIONS)] = "max_iterations"
+    stop[stop == ""] = "mu_limit"
 
     traces = [np.array(trace) for trace in traces]
     assert all(np.all(np.diff(trace) <= 0.0) for trace in traces), "solver admitted an ascent step"
     rotations = so3_exp_batch(x[:, :3])[0]
     return [
-        FitResult(RigidMotion(r, xi[3:].copy()), float(fi), int(it), bool(conv), trace)
-        for r, xi, fi, it, conv, trace in zip(rotations, x, f, iterations, converged, traces)
+        FitResult(RigidMotion(r, xi[3:].copy()), float(fi), int(it), str(why), trace)
+        for r, xi, fi, it, why, trace in zip(rotations, x, f, iterations, stop, traces)
     ]
 
 
-def fit_rigid_frames(points0, observed, masks, k: Intrinsics, init):
+def fit_rigid_frames(points0, observed, masks, k: Intrinsics, init, *, coarse: float = 0.0):
     """Fit each frame's rigid motion to its observed projections of points0.
 
     points0 is (N, 3). Frame f fits the points selected by masks[f] (N) to
@@ -208,10 +224,13 @@ def fit_rigid_frames(points0, observed, masks, k: Intrinsics, init):
     then one entry per iteration) is non-increasing; μ shrinks after an
     accepted step and grows after a rejected one. A fit stops, converged,
     when the gradient reaches 1e-10 per unit that moves the points 1 px RMS
-    or a trial step changes the cost by a relative 1e-15 or less either way
-    (its rounding floor); unconverged when μ passes 1e16, as with a
-    rank-deficient JᵀJ, or after 200 iterations. Frames run in chunks of at
-    most BLOCK padded points.
+    (stop "gradient") or a trial step changes the cost f by at most n·u·f
+    either way, with n the frame's point count and u = 2.2e-16 (stop
+    "floor": the cost's rounding error). A positive `coarse` also stops a
+    fit, converged, at a relative change of at most `coarse` (stop
+    "coarse"). A fit stops unconverged when μ passes 1e16, as with a
+    rank-deficient JᵀJ (stop "mu_limit"), or after 200 iterations (stop
+    "max_iterations"). Frames run in chunks of at most BLOCK padded points.
     """
     p0, obs, sel = _validate_inputs(points0, observed, masks)
     x = np.array(init, dtype=float).reshape(len(sel), 6)
@@ -226,7 +245,7 @@ def fit_rigid_frames(points0, observed, masks, k: Intrinsics, init):
         col = np.where(wt, order, order[:, :1])
         ov = np.take(obs[c].reshape(-1, 2), col + sel.shape[1] * np.arange(len(col))[:, None], axis=0)
         p = np.take(p0.T, col, axis=1).transpose(1, 0, 2)
-        results += _lm_chunk(p, ov.transpose(0, 2, 1), wt.astype(float), k, x[c])
+        results += _lm_chunk(p, ov.transpose(0, 2, 1), wt.astype(float), k, x[c], coarse)
     return x, results
 
 

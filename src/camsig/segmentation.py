@@ -31,6 +31,9 @@ STATUS_DEGENERATE = "degenerate"
 # A re-thresholded static set smaller than this share of the grid (and than
 # 6 points) ends the loop as degenerate, keeping the previous iteration.
 _MIN_STATIC_FRACTION = 0.10
+# Relative cost change at which an iteration's fits stop before the loop's
+# last iteration is known; fit_rigid_frames reports such stops as "coarse".
+_COARSE = 1e-6
 
 
 @dataclass
@@ -92,8 +95,23 @@ def _per_point_errors(field, motions, obs, vis_count) -> np.ndarray:
     return sq.sum(axis=0) * (t / vis_count)
 
 
+def _short_frame(static, vis) -> str | None:
+    """The diagnostic for the first frame of a static set too small to fit."""
+    short = np.flatnonzero((static & vis[1:]).sum(axis=1) < 3)
+    if not short.size:
+        return None
+    return f"fewer than 3 visible static points in frame {short[0] + 1}; keeping previous iteration"
+
+
 def extract_static(field: TrajectoryField, config: SegmentationConfig | None = None) -> SegmentationResult:
-    """Split the grid into static and dynamic points with per-frame rigid fits."""
+    """Split the grid into static and dynamic points with per-frame rigid fits.
+
+    Each iteration fits coarsely, to a relative cost change of 1e-6, and
+    re-thresholds on that fit. An iteration that would end the loop first
+    refits its coarsely stopped frames at full precision (see
+    fit_rigid_frames) and decides again, so the returned motions and
+    per-point errors always come from full-precision fits.
+    """
     cfg = config or SegmentationConfig()
     t = field.num_frames
     n = field.num_points
@@ -107,59 +125,63 @@ def extract_static(field: TrajectoryField, config: SegmentationConfig | None = N
     obs = _observed_projections(field)
     min_count = max(int(math.ceil(_MIN_STATIC_FRACTION * n)), 6)
 
+    def decide(err, static, eps_max, last):
+        """(status, diagnostic, next static set); status None goes on."""
+        if eps_max < eps:
+            return STATUS_CONVERGED_EPS, None, static
+        new_static = err < cfg.alpha * (eps_max + eps)
+        if new_static.all():
+            return STATUS_CONVERGED_FULL, None, new_static
+        if int(new_static.sum()) < min_count:
+            note = (
+                f"static set collapsed to {int(new_static.sum())} points "
+                f"(minimum {min_count}); keeping previous iteration"
+            )
+            return STATUS_DEGENERATE, note, static
+        if last:
+            return STATUS_MAX_ITERS, None, new_static
+        note = _short_frame(new_static, vis)
+        return (STATUS_DEGENERATE if note else None), note, new_static
+
     static = np.ones(n, dtype=bool)
     motions = [RigidMotion.identity() for _ in range(t)]
     params = np.zeros((t - 1, 6))
     eps_max_trace: list[float] = []
     diagnostics: list[str] = []
-    status = STATUS_MAX_ITERS
-    iterations_used = 0
     err = np.zeros(n)
+    note = _short_frame(static, vis)
+    status = STATUS_DEGENERATE if note else None
+    iterations_used = 0
 
-    for iteration in range(1, cfg.max_iterations + 1):
+    while status is None:
         # One batched fit of frames 1..T-1 on the current static set; frame 0
         # is pinned to the identity. Each frame warm starts from its own
         # parameters of the previous iteration (zero at the first).
+        iterations_used += 1
         sel = static & vis[1:]
-        short = np.flatnonzero(sel.sum(axis=1) < 3)
-        if short.size:
-            status = STATUS_DEGENERATE
-            diagnostics.append(
-                f"fewer than 3 visible static points in frame {short[0] + 1}; "
-                "keeping previous iteration"
-            )
-            break
-        params, fits = fit_rigid_frames(field.positions[0], obs[1:], sel, k, params)
-        motions = [RigidMotion.identity()] + [result.motion for result in fits]
+        params, fits = fit_rigid_frames(field.positions[0], obs[1:], sel, k, params, coarse=_COARSE)
+        redo = [i for i, result in enumerate(fits) if result.stop not in ("gradient", "floor")]
+        while True:
+            motions = [RigidMotion.identity()] + [result.motion for result in fits]
+            err = _per_point_errors(field, motions, obs, vis_count)
+            eps_max = float(err[static].max())
+            status, note, next_static = decide(err, static, eps_max, iterations_used == cfg.max_iterations)
+            if status is None or not redo:
+                break
+            params[redo], refits = fit_rigid_frames(field.positions[0], obs[1:][redo], sel[redo], k, params[redo])
+            for i, result in zip(redo, refits):
+                fits[i] = result
+            redo = []
         for lam, result in enumerate(fits, start=1):
             if not result.converged:
                 diagnostics.append(
                     f"rigid fit of frame {lam} did not converge in segmentation "
-                    f"iteration {iteration} ({result.iterations} solver iterations)"
+                    f"iteration {iterations_used} ({result.iterations} solver iterations)"
                 )
-        iterations_used += 1
-
-        err = _per_point_errors(field, motions, obs, vis_count)
-        eps_max = float(err[static].max())
         eps_max_trace.append(eps_max)
-
-        if eps_max < eps:
-            status = STATUS_CONVERGED_EPS
-            break
-
-        new_static = err < cfg.alpha * (eps_max + eps)
-        if new_static.all():
-            static = new_static
-            status = STATUS_CONVERGED_FULL
-            break
-        if int(new_static.sum()) < min_count:
-            status = STATUS_DEGENERATE
-            diagnostics.append(
-                f"static set collapsed to {int(new_static.sum())} points "
-                f"(minimum {min_count}); keeping previous iteration"
-            )
-            break
-        static = new_static
+        static = next_static
+    if note:
+        diagnostics.append(note)
 
     for i in range(1, len(eps_max_trace)):
         if eps_max_trace[i] > eps_max_trace[i - 1]:

@@ -19,7 +19,7 @@ from camsig.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEGMENT_SEED_3_CLIP_0_TCS1 = {
-    "segment_noisy": "03d881ad9f4f48332c5a328ab01fc83133969d4b854b153ba6091efa19445d47",
+    "segment_noisy": "7f61a3730a32ab301c3abd34d7d6771aa573841488b2e4fd725f42e82b1141f9",
     "segment_clean_large": "e60d451a25d8a6ff05d2bb1461a904d4e7ca4a2efe122854bdbb1285593eb82f",
 }
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from camsig import rigidfit, segmentation
-from camsig.geometry import BLOCK, Intrinsics, geodesic_angle, unproject
+from camsig.geometry import BLOCK, Intrinsics, geodesic_angle, project
 from camsig.rigidfit import NumericalError
 from camsig.segmentation import (
     STATUS_CONVERGED_EPS,
@@ -140,22 +140,18 @@ def test_unconverged_fits_reported_in_frame_order_with_own_counts(monkeypatch):
     later = [int(d.split()[4]) for d in reported[7:]]
     assert later == sorted(later) and all("iteration 2 (1 solver iterations)" in d for d in reported[7:])
 
-    # With a cap some frames reach, each unconverged frame reports its own count.
-    counts = []
-    solve = rigidfit._lm_chunk
-
-    def recording(*args):
-        fits = solve(*args)
-        counts.extend((fit.iterations, fit.converged) for fit in fits)
-        return fits
-
-    monkeypatch.setattr(rigidfit, "_lm_chunk", recording)
-    monkeypatch.setattr(rigidfit, "_MAX_ITERATIONS", 8)
+    # With a cap some frames reach, each unconverged frame reports its own
+    # count, from the pass whose fit it returns: the last iteration refits
+    # the frames its coarse pass did not stop at the gradient or the floor.
+    passes = record_passes(monkeypatch)
+    monkeypatch.setattr(rigidfit, "_MAX_ITERATIONS", 4)
     result = extract_static(gt.field, SegmentationConfig(max_iterations=1))
-    assert {conv for _, conv in counts} == {True, False}
+    assert [coarse for coarse, _ in passes] == [segmentation._COARSE, 0.0]
+    reported = final_fits(passes)
+    assert {fit.converged for fit in reported} == {True, False}
     assert result.diagnostics == [
-        f"rigid fit of frame {lam} did not converge in segmentation iteration 1 ({n} solver iterations)"
-        for lam, (n, conv) in enumerate(counts, start=1) if not conv
+        f"rigid fit of frame {lam} did not converge in segmentation iteration 1 ({fit.iterations} solver iterations)"
+        for lam, fit in enumerate(reported, start=1) if not fit.converged
     ]
 
 
@@ -176,29 +172,35 @@ def test_underdetermined_names_the_first_short_frame():
 
 
 def test_one_solver_call_per_chunk_never_per_frame(monkeypatch):
+    # Each iteration makes one coarse pass over frames 1..T-1; the last then
+    # refits the frames that pass stopped coarsely. Both passes solve whole
+    # chunks of frames.
     calls = []
     solve = rigidfit._lm_chunk
 
-    def counting(p, ov, wt, k, x):
-        calls.append((len(x), p.shape[2]))
-        return solve(p, ov, wt, k, x)
+    def counting(p, ov, wt, k, x, coarse):
+        calls.append((len(x), p.shape[2], coarse))
+        return solve(p, ov, wt, k, x, coarse)
 
     monkeypatch.setattr(rigidfit, "_lm_chunk", counting)
-    gt, _ = quad_object_scene(frames=12)
+    gt, _ = quad_object_scene(frames=12, noise=0.3)
     result = extract_static(gt.field)
-    assert [f for f, _ in calls] == [11] * result.iterations_used  # 11 x 1,024 points: one chunk
+    assert result.iterations_used == 2
+    coarse = segmentation._COARSE
+    assert calls == [(11, 1024, coarse), (11, 748, coarse), (11, 748, 0.0)]  # 11 x 1,024 points: one chunk
 
     calls.clear()
     spec = SceneSpec(
         frames=13, grid_h=64, grid_w=64, intrinsics=K64, z_near=1.8, z_far=2.2,
-        depth_jitter=0.2, seed=5,
+        depth_jitter=0.2, track_noise=0.3, seed=5,
         objects=[DynamicObject(center=(16.0, 16.0), radius=9.0, velocity=(0.05, 0.0, 0.0))],
     )
     field = generate_scene(spec, pan_roll_path(13, pan=0.25, roll=0.15)).field
     result = extract_static(field)
-    assert sum(f for f, _ in calls) == 12 * result.iterations_used
-    assert all(f * m <= BLOCK for f, m in calls)
-    assert result.iterations_used < len(calls) < 12 * result.iterations_used
+    assert result.iterations_used == 2
+    assert [(f, c) for f, _, c in calls] == [(4, coarse)] * 6 + [(4, 0.0), (4, 0.0), (3, 0.0)]
+    assert all(f * m <= BLOCK for f, m, _ in calls)
+
 
 def test_max_iters_status():
     gt, _ = quad_object_scene()
@@ -271,23 +273,110 @@ def test_needs_two_frames():
 
 
 def test_singular_damped_solve_is_a_numerical_error():
-    # A segment_noisy clip with one visible point lifted far outside the
-    # image: its residual dwarfs the rest, and rounding makes a damped
-    # normal matrix singular even though JᵀJ has a positive diagonal.
-    objects = [
-        DynamicObject(center=(8.0, 8.0), radius=4.6, velocity=(0.08, 0.0, 0.0)),
-        DynamicObject(center=(23.0, 8.0), radius=4.6, velocity=(-0.08, 0.0, 0.0)),
-        DynamicObject(center=(8.0, 23.0), radius=4.6, velocity=(0.0, 0.08, 0.0)),
-        DynamicObject(center=(23.0, 23.0), radius=4.6, velocity=(0.0, -0.08, 0.0)),
-    ]
-    spec = SceneSpec(
-        frames=12, grid_h=32, grid_w=32, intrinsics=KWIDE,
-        z_near=1.5, z_far=2.5, depth_jitter=0.5, objects=objects,
-        track_noise=0.5, seed=1411469411,
-    )
-    field = generate_scene(spec, pan_roll_path(12, pan=0.2, roll=0.1)).field
-    positions = field.positions.copy()
-    positions[6, 0] = unproject(np.array([1e15, 0.0]), 1e15, KWIDE)
-    field = TrajectoryField(positions, field.visibility, field.grid_h, field.grid_w, KWIDE)
+    # Seven points on one line at one depth: rotating about y and moving
+    # along x shift them alike, so JᵀJ is rank deficient with a positive
+    # diagonal. Large residuals keep the fit stepping until μ no longer
+    # changes the unit diagonal, and at solver iteration 40 the damped
+    # matrix is singular in rounding.
+    gen = rng(29)
+    p0 = np.zeros((7, 3))
+    p0[:, 1] = np.linspace(-0.75, 0.75, 7)
+    p0[:, 2] = 2.0
+    obs = project(p0, KWIDE) + gen.normal(0.0, 5.0, size=(7, 2))
+    init = gen.normal(0.0, 0.05, size=6)
     with pytest.raises(NumericalError, match="singular"):
-        extract_static(field)
+        rigidfit.fit_rigid(p0, obs, np.ones(7, dtype=bool), KWIDE, init)
+
+
+def record_passes(monkeypatch) -> list:
+    """(coarse, fits) of every solver call, in call order."""
+    passes = []
+    solve = rigidfit._lm_chunk
+
+    def recording(p, ov, wt, k, x, coarse):
+        fits = solve(p, ov, wt, k, x, coarse)
+        passes.append((coarse, fits))
+        return fits
+
+    monkeypatch.setattr(rigidfit, "_lm_chunk", recording)
+    return passes
+
+
+def final_fits(passes) -> list:
+    """Per frame, the last fit of the last iteration, for one-chunk scenes.
+
+    A coarse pass fits every frame; a full-precision pass refits, in frame
+    order, the frames the coarse pass before it did not stop at the
+    gradient or the floor.
+    """
+    fits = []
+    for coarse, results in passes:
+        if coarse:
+            fits = list(results)
+            continue
+        redo = [i for i, fit in enumerate(fits) if fit.stop not in ("gradient", "floor")]
+        assert len(redo) == len(results)
+        for i, fit in zip(redo, results):
+            fits[i] = fit
+    return fits
+
+
+def exit_scene(scene):
+    """A field and config whose extraction ends with this exit after a refit."""
+    gt, _ = quad_object_scene(noise=0.3)
+    if scene == "eps":
+        return gt.field, None
+    if scene == "max_iters":
+        return gt.field, SegmentationConfig(max_iterations=1)
+    if scene == "full":  # static field, epsilon below the worst error
+        gen = rng(31)
+        field = transported_field(K32, smooth_motions(6, gen), jitter=0.3, gen=gen)
+        wobble = gen.normal(scale=1e-3, size=field.positions.shape)
+        wobble[0] = 0.0
+        field = TrajectoryField(field.positions + wobble, field.visibility, field.grid_h, field.grid_w, K32)
+        return field, SegmentationConfig(epsilon=extract_static(field).eps_max_trace[0] * 0.8, alpha=0.9)
+    if scene == "collapse":  # the disc covers most of the grid; _MIN_STATIC_FRACTION is 0.6
+        objects = [DynamicObject(center=(15.5, 15.5), radius=14.0, velocity=(0.08, 0.0, 0.0))]
+        spec = SceneSpec(
+            frames=6, grid_h=32, grid_w=32, intrinsics=K32,
+            z_near=1.5, z_far=2.5, depth_jitter=0.4, objects=objects, seed=3,
+        )
+        return generate_scene(spec, pan_roll_path(6, pan=0.1, roll=0.05)).field, None
+    # "short": frame 1 sees two static and two moving points, so the
+    # re-thresholded static set leaves it two.
+    static = gt.partition.static_mask.ravel()
+    vis = gt.field.visibility.copy()
+    keep = np.concatenate([np.flatnonzero(static & vis[1])[[100, 700]], np.flatnonzero(~static & vis[1])[[5, 60]]])
+    vis[1] = False
+    vis[1, keep] = True
+    return TrajectoryField(gt.field.positions, vis, gt.field.grid_h, gt.field.grid_w, K32), None
+
+
+EXITS = {  # scene -> status, start of its diagnostic
+    "eps": (STATUS_CONVERGED_EPS, None),
+    "full": (STATUS_CONVERGED_FULL, None),
+    "max_iters": (STATUS_MAX_ITERS, None),
+    "collapse": (STATUS_DEGENERATE, "static set collapsed"),
+    "short": (STATUS_DEGENERATE, "fewer than 3 visible static points in frame 1"),
+}
+
+
+@pytest.mark.parametrize("scene", EXITS)
+def test_no_exit_returns_coarse_motions(monkeypatch, scene):
+    status, note = EXITS[scene]
+    if scene == "collapse":
+        monkeypatch.setattr(segmentation, "_MIN_STATIC_FRACTION", 0.6)
+    field, config = exit_scene(scene)
+    passes = record_passes(monkeypatch)
+    result = extract_static(field, config)
+    assert result.status == status
+    assert note is None or any(d.startswith(note) for d in result.diagnostics)
+    assert passes[-1][0] == 0.0  # the exit refit the coarsely stopped frames
+    fits = final_fits(passes)
+    assert len(fits) == field.num_frames - 1 and all(fit.stop != "coarse" for fit in fits)
+    for motion, fit in zip(result.motions[1:], fits):
+        assert np.array_equal(motion.rotation, fit.motion.rotation)
+        assert np.array_equal(motion.translation, fit.motion.translation)
+    obs = segmentation._observed_projections(field)
+    err = segmentation._per_point_errors(field, result.motions, obs, field.visibility.sum(axis=0))
+    assert np.array_equal(result.per_point_error.ravel(), err)
