@@ -1,8 +1,7 @@
 """Command-line interface for the camera-control signal toolkit.
 
 Exit codes: 0 success, 1 usage error, 2 data error (missing or malformed
-input files), 3 numerical failure (including degenerate segmentation
-without --allow-degenerate).
+input files), 3 degenerate segmentation without --allow-degenerate.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from camsig.io import (
 )
 from camsig.metrics import msc, rot_err, trans_err
 from camsig.preview import RgbdFrame, render_preview, splat_zbuffer
-from camsig.rigidfit import NumericalError
 from camsig.segmentation import (
     STATUS_DEGENERATE,
     SegmentationConfig,
@@ -379,9 +377,6 @@ def main(argv=None) -> int:
     except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

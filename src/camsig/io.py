@@ -18,7 +18,6 @@ order.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import re
@@ -32,8 +31,6 @@ import numpy as np
 from camsig.geometry import Intrinsics, Z_MIN, check_depth_size, in_image, unproject
 from camsig.signal import ControlTensor
 from camsig.trajfield import TrajectoryField, grid_sample_uv, hold_last_valid
-
-logger = logging.getLogger(__name__)
 
 MAGIC_DEPTH = b"TCD1"
 MAGIC_TRACKS = b"TCT1"
@@ -254,7 +251,7 @@ def read_correspondences(file):
 
 
 def _bilinear_depth(img: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """Bilinear depth samples with hole detection and clamp counting.
+    """Bilinear depth samples at clamped positions, with hole detection.
 
     A sample is invalid if any neighbor that contributes weight is a hole
     (depth below Z_MIN), so hole sentinels never blend into real depths.
@@ -262,7 +259,6 @@ def _bilinear_depth(img: np.ndarray, u: np.ndarray, v: np.ndarray):
     h, w = img.shape
     uc = np.clip(u, 0.0, w - 1.0)
     vc = np.clip(v, 0.0, h - 1.0)
-    clamped = int(np.count_nonzero((uc != u) | (vc != v)))
     x0 = np.floor(uc).astype(np.int64)
     y0 = np.floor(vc).astype(np.int64)
     x1 = np.minimum(x0 + 1, w - 1)
@@ -282,7 +278,7 @@ def _bilinear_depth(img: np.ndarray, u: np.ndarray, v: np.ndarray):
         | ((w10 > eps) & (n10 < Z_MIN))
         | ((w11 > eps) & (n11 < Z_MIN))
     )
-    return values, ~holed & (values >= Z_MIN), clamped
+    return values, ~holed & (values >= Z_MIN)
 
 
 def _infer_grid(uv0: np.ndarray, k: Intrinsics) -> tuple[int, int]:
@@ -303,9 +299,8 @@ def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) 
     its projection reproduces the observed track exactly. A track outside
     the footprint is not an observation and marks the entry invisible.
     Positions in the half-pixel margin past the outer pixel centers sample
-    at the clamped location (counted and logged); non-positive sampled
-    depth marks the entry invisible. Invisible entries carry the last
-    visible position.
+    at the clamped location; non-positive sampled depth marks the entry
+    invisible. Invisible entries carry the last visible position.
     """
     t, n = tracks.num_frames, tracks.num_points
     if len(depths) != t:
@@ -321,12 +316,10 @@ def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) 
 
     positions = np.zeros((t, n, 3))
     visibility = np.zeros((t, n), dtype=bool)
-    total_clamped = 0
     for lam in range(t):
         tracked = tracks.visible[lam] & in_image(tracks.uv[lam], k)
         uv = tracks.uv[lam][tracked]
-        depth, ok, clamped = _bilinear_depth(depths[lam], uv[:, 0], uv[:, 1])
-        total_clamped += clamped
+        depth, ok = _bilinear_depth(depths[lam], uv[:, 0], uv[:, 1])
         vis = np.zeros(n, dtype=bool)
         vis[tracked] = ok
         if lam == 0 and not vis.all():
@@ -334,6 +327,4 @@ def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) 
         visibility[lam] = vis
         positions[lam][vis] = unproject(tracks.uv[lam][vis], depth[ok], k)
     hold_last_valid(positions, visibility[..., None])
-    if total_clamped:
-        logger.warning("clamped %d out-of-bounds track depth samples", total_clamped)
     return TrajectoryField(positions, visibility, gh, gw, k)

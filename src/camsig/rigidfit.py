@@ -37,10 +37,6 @@ _MAX_ITERATIONS = 200
 _FLIP = np.array([-1.0, 1.0, 1.0, 1.0, 1.0, -1.0])  # Jacobian column signs as stored
 
 
-class NumericalError(RuntimeError):
-    """Optimization produced a non-finite cost or gradient, or a singular solve."""
-
-
 # Why a fit stopped. The first three are converged: "gradient" and "floor"
 # at full precision, "coarse" at the caller's looser relative cost change.
 STOPS = ("gradient", "floor", "coarse", "mu_limit", "max_iterations")
@@ -137,18 +133,13 @@ def _lm_chunk(p, ov, wt, k: Intrinsics, x, coarse: float) -> list:
 
     def evaluate(p, ov, wt, params):
         cost, jtj, jtr, n = _normal_equations(p, ov, wt, k, params)
-        bad = np.flatnonzero(np.isnan(cost) | np.isnan(jtr).any(axis=1))
-        if bad.size:
-            raise NumericalError(f"numerical failure: non-finite cost at params {params[bad[0]].tolist()}")
+        cost[np.isnan(cost) | np.isnan(jtr).any(axis=1)] = math.inf  # rejected as a trial
         scale = np.sqrt(n[:, None] * np.diagonal(jtj, axis1=1, axis2=2))  # px RMS per unit
         grad = 2.0 * np.abs(jtr) / np.where(scale > 0.0, scale, 1.0)
         return cost, jtj, jtr, n, (n > 0.0) & (grad.max(axis=1) <= _GRADIENT_TOLERANCE)
 
     nf = len(x)
     f, h, g, _, small = evaluate(p, ov, wt, x)
-    if not np.isfinite(f).all():
-        at = x[np.argmin(np.isfinite(f))].tolist()
-        raise NumericalError(f"numerical failure: no point projects in front of the camera at init {at}")
     traces = [[cost] for cost in f]
     stop = np.where(small, "gradient", "").astype(object)  # "" while running
     mu = np.full(nf, _MU_INIT)
@@ -164,21 +155,25 @@ def _lm_chunk(p, ov, wt, k: Intrinsics, x, coarse: float) -> list:
                 a[: len(keep)] = a[keep]
             p, ov, wt = p[: len(keep)], ov[: len(keep)], wt[: len(keep)]
         iterations[rows] += 1
-        # A frame whose JᵀJ has a zero diagonal entry takes no step. The rest
-        # solve where JᵀJ has a unit diagonal, so μ·diag(JᵀJ) is μ·I and the
-        # pivots do not depend on the units of the translation. That matrix
-        # is positive definite in exact arithmetic, but rounding can still
-        # make it singular when the entries span many orders of magnitude.
+        # A frame the solver cannot advance takes no step this round, so its
+        # μ grows as after a rejected step. That holds for a zero diagonal
+        # entry of JᵀJ (as when no point lies in front of the camera), for a
+        # damped matrix with an exact zero LU pivot (the case where solve
+        # raises), and for a non-finite step. The rest solve where JᵀJ has a
+        # unit diagonal, so μ·diag(JᵀJ) is μ·I and the pivots do not depend
+        # on the units of the translation. That matrix is positive definite
+        # in exact arithmetic, but rounding can still make it singular when
+        # the entries span many orders of magnitude. slogdet's sign, unlike
+        # det, cannot underflow to zero.
         h_r, g_r = h[rows], g[rows]
         dg = h_r[:, diag, diag]
         ok = (dg > 0.0).all(axis=1)
         d = np.sqrt(np.where(ok[:, None], dg, 1.0))
         c = np.where(ok[:, None, None], h_r / d[:, :, None] / d[:, None, :], np.eye(6))
         c[:, diag, diag] += mu[rows, None]
-        try:
-            step = np.linalg.solve(c, -(g_r / d)[..., None])[..., 0] / d
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("numerical failure: the damped normal equations are singular") from exc
+        ok &= np.linalg.slogdet(c)[0] != 0.0
+        c[~ok] = np.eye(6)
+        step = np.linalg.solve(c, -(g_r / d)[..., None])[..., 0] / d
         ok &= np.isfinite(step).all(axis=1)
         accepted = np.zeros(nf, dtype=bool)
         if ok.any():
@@ -203,7 +198,7 @@ def _lm_chunk(p, ov, wt, k: Intrinsics, x, coarse: float) -> list:
     stop[stop == ""] = "mu_limit"
 
     traces = [np.array(trace) for trace in traces]
-    assert all(np.all(np.diff(trace) <= 0.0) for trace in traces), "solver admitted an ascent step"
+    assert all(np.all(trace[1:] <= trace[:-1]) for trace in traces), "solver admitted an ascent step"
     rotations = so3_exp_batch(x[:, :3])[0]
     return [
         FitResult(RigidMotion(r, xi[3:].copy()), float(fi), int(it), str(why), trace)
@@ -228,9 +223,14 @@ def fit_rigid_frames(points0, observed, masks, k: Intrinsics, init, *, coarse: f
     either way, with n the frame's point count and u = 2.2e-16 (stop
     "floor": the cost's rounding error). A positive `coarse` also stops a
     fit, converged, at a relative change of at most `coarse` (stop
-    "coarse"). A fit stops unconverged when μ passes 1e16, as with a
-    rank-deficient JᵀJ (stop "mu_limit"), or after 200 iterations (stop
-    "max_iterations"). Frames run in chunks of at most BLOCK padded points.
+    "coarse"). A frame the solver cannot advance takes no step that
+    iteration and its μ grows: JᵀJ has a zero diagonal entry (as when no
+    point lies in front of the camera, a cost of +inf), the damped matrix
+    is singular, or the step is not finite. A NaN cost counts as +inf. So
+    no frame raises, and no frame changes the others of its batch. A fit
+    stops unconverged when μ passes 1e16, as with a rank-deficient JᵀJ
+    (stop "mu_limit"), or after 200 iterations (stop "max_iterations").
+    Frames run in chunks of at most BLOCK padded points.
     """
     p0, obs, sel = _validate_inputs(points0, observed, masks)
     x = np.array(init, dtype=float).reshape(len(sel), 6)

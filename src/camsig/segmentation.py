@@ -80,19 +80,21 @@ def _per_point_errors(field, motions, obs, vis_count) -> np.ndarray:
     """Summed squared reprojection error per point, rescaled to T frames.
 
     A point driven behind the camera by a motion cannot be explained by it
-    and scores +inf for that frame.
+    and scores +inf for that frame; an invisible entry scores 0. Frames add
+    into one running (N,) sum in frame order.
     """
     t = field.num_frames
     p0 = field.positions[0]
-    sq = np.empty((t, field.num_points))
+    total = np.zeros(field.num_points)
     for lam, m in enumerate(motions):
         uv, front = pinhole(apply(m, p0), field.intrinsics)
         du = uv[:, 0] - obs[lam, :, 0]
         dv = uv[:, 1] - obs[lam, :, 1]
-        sq[lam] = du * du + dv * dv
-        sq[lam][~front] = math.inf
-    sq[~field.visibility] = 0.0
-    return sq.sum(axis=0) * (t / vis_count)
+        sq = du * du + dv * dv
+        sq[~front] = math.inf
+        sq[~field.visibility[lam]] = 0.0
+        total += sq
+    return total * (t / vis_count)
 
 
 def _short_frame(static, vis) -> str | None:

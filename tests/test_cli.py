@@ -491,6 +491,38 @@ def test_exit_code_degenerate_segmentation(tmp_path, capsys):
     assert main(argv + ["--allow-degenerate"]) == 0
 
 
+def test_one_row_grid_with_a_singular_solve_is_a_degenerate_segmentation(tmp_path, capsys):
+    # One row of eight tracks at one depth, so frame 0's points are
+    # collinear, under 20 px noise over five frames. A rigid fit of this
+    # clip meets a damped matrix that is singular in rounding; that frame
+    # takes no step, and the run ends as a degenerate segmentation.
+    k = Intrinsics(fx=64.0, fy=64.0, cx=31.5, cy=31.5, width=64, height=64)
+    gen = rng(229)
+    gw, t, noise = int(gen.integers(3, 40)), int(gen.integers(2, 6)), float(gen.choice([5.0, 20.0, 50.0]))
+    assert (gw, t, noise) == (8, 5, 20.0)
+    uv = np.repeat(grid_sample_uv(1, gw, k)[None], t, axis=0)
+    uv[1:] = np.clip(uv[1:] + gen.normal(0.0, noise, size=uv[1:].shape), 0.0, 63.0)
+    write_tracks(tmp_path / "tracks.tct", Tracks(uv, np.ones((t, gw), dtype=bool)))
+    for lam in range(t):
+        write_depth(tmp_path / f"depth_{lam:04d}.tcd", np.full((64, 64), 2.0))
+    write_intrinsics(tmp_path / "k.json", k)
+    out = tmp_path / "s.tcs"
+    argv = [
+        "signal-from-video",
+        "--tracks", str(tmp_path / "tracks.tct"),
+        "--depth-dir", str(tmp_path),
+        "--intrinsics", str(tmp_path / "k.json"),
+        "--out", str(out),
+    ]
+    assert main(argv) == 3
+    assert "error: degenerate segmentation" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--allow-degenerate"]) == 0
+    assert np.isfinite(read_tensor(out).data).all()
+    strength = json.loads(out.with_suffix(".m.json").read_text())
+    assert strength["segmentation_status"] == "degenerate" and np.isfinite(strength["m"]).all()
+
+
 def test_help_lists_all_flags(capsys):
     expected = {
         "synth": ["--scene", "--path", "--out"],

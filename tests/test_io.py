@@ -339,7 +339,7 @@ class TestAssembleField:
         field = assemble_field([depth0, depth1], Tracks(uv2, vis), K32)
         assert not field.visibility[1, 5]
 
-    def test_out_of_bounds_sample_clamped_with_warning(self, caplog):
+    def test_out_of_bounds_sample_clamped_silently(self, caplog):
         uv = grid_sample_uv(K32.height, K32.width, K32)
         n = uv.shape[0]
         uv2 = np.stack([uv, uv])
@@ -347,9 +347,9 @@ class TestAssembleField:
         uv2[1, 1, 0] = -3.0  # outside the image: not an observation
         vis = np.ones((2, n), dtype=bool)
         depth = np.full((K32.height, K32.width), 2.0)
-        with caplog.at_level(logging.WARNING, logger="camsig.io"):
+        with caplog.at_level(logging.DEBUG):
             field = assemble_field([depth, depth], Tracks(uv2, vis), K32)
-        assert "clamped 1" in caplog.text
+        assert not caplog.records  # the half-pixel margin is routine, not news
         assert field.visibility[1, 0]  # clamped sample is still usable
         assert not field.visibility[1, 1]
         assert np.array_equal(field.positions[1, 1], field.positions[0, 1])  # held

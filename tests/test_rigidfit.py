@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import configuration, given, settings
+from hypothesis import strategies as st
 
 from camsig.geometry import Intrinsics, geodesic_angle, project, so3_exp, so3_log
 from camsig import rigidfit
@@ -7,6 +12,9 @@ from camsig.rigidfit import fit_rigid, fit_rigid_frames, reproj_cost_grad
 from camsig.synth import DynamicObject, SceneSpec, generate_scene
 from test_segmentation import KWIDE
 from util import K64, pan_roll_path, random_points, rng
+
+# Keep Hypothesis's constant cache out of the working tree.
+configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "camsig-hypothesis")
 
 
 def make_frame(gen, n=400, w_scale=0.2, t_scale=0.3, noise=0.0, k=K64):
@@ -308,3 +316,50 @@ def test_final_cost_matches_reference_optimum():
         result = fit_rigid(p0, obs, mask, k, np.zeros(6))
         assert result.converged
         assert result.final_cost <= reference_cost(p0, obs, mask, k) * (1.0 + 1e-12) + 1e-20
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    line_frames=st.integers(1, 3),
+    line_points=st.integers(3, 12),
+    noise=st.floats(5.0, 50.0),
+    healthy_at=st.integers(0, 4),
+)
+def test_frames_the_solver_cannot_advance_take_no_step(seed, line_frames, line_points, noise, healthy_at):
+    # A batch over one shared cloud: a healthy frame that sees every point,
+    # frames that see only a line of points at one depth under 5-50 px
+    # noise (rank-deficient JᵀJ, whose damped matrix rounding can make
+    # singular), and a frame whose init puts every point behind the camera.
+    gen = rng(seed)
+    line = np.zeros((line_points, 3))
+    line[:, 1] = np.linspace(-0.75, 0.75, line_points)
+    line[:, 2] = 2.0
+    points0 = np.concatenate([random_points(gen, 40, z_range=(1.5, 2.5), spread=1.0), line])
+    n = len(points0)
+    truth = np.concatenate([gen.normal(0.0, 0.05, 3), gen.normal(0.0, 0.1, 3)])
+    healthy = project(points0 @ so3_exp(truth[:3]).T + truth[3:], KWIDE) + gen.normal(0.0, 0.5, (n, 2))
+    observed = [healthy]
+    masks = [np.ones(n, dtype=bool)]
+    init = [np.zeros(6)]
+    for _ in range(line_frames):
+        observed.append(project(points0, KWIDE) + gen.normal(0.0, noise, (n, 2)))
+        masks.append(np.arange(n) >= 40)
+        init.append(gen.normal(0.0, 0.05, 6))
+    observed.append(project(points0, KWIDE))
+    masks.append(np.ones(n, dtype=bool))
+    init.append(np.array([0.0, 0.0, 0.0, 0.0, 0.0, -5.0]))
+    order = np.roll(np.arange(len(init)), healthy_at)  # where the healthy frame sits
+    at = int(np.flatnonzero(order == 0)[0])
+    params, fits = fit_rigid_frames(
+        points0, np.array(observed)[order], np.array(masks)[order], KWIDE, np.array(init)[order]
+    )
+    assert np.isfinite(params).all()
+    for fit in fits:
+        assert np.all(fit.cost_trace[1:] <= fit.cost_trace[:-1])
+        assert np.isfinite(fit.motion.rotation).all() and np.isfinite(fit.motion.translation).all()
+    behind = fits[int(np.flatnonzero(order == len(init) - 1)[0])]
+    assert behind.stop == "mu_limit" and behind.iterations == 20 and behind.final_cost == np.inf
+    alone_params, (alone,) = fit_rigid_frames(points0, [healthy], masks[:1], KWIDE, init[:1])
+    assert np.array_equal(params[at], alone_params[0]) and fits[at].final_cost == alone.final_cost
+    assert fits[at].converged and (fits[at].iterations, fits[at].stop) == (alone.iterations, alone.stop)
