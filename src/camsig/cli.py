@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import logging
 import math
 import os
 import sys
@@ -292,7 +291,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="camsig", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="override scene seed / RNG seed")
     parser.add_argument("--threads", type=int, default=0, help="worker threads for per-frame work (0 = auto)")
-    parser.add_argument("--quiet", action="store_true", help="suppress warnings")
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("synth", help="generate a synthetic scene and export its files")
@@ -367,7 +365,6 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    logging.basicConfig(level=logging.ERROR if args.quiet else logging.WARNING)
     args.resolved_threads = args.threads or os.cpu_count() or 1
     try:
         return args.func(args)

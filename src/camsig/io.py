@@ -265,23 +265,16 @@ def _bilinear_depth(img: np.ndarray, u: np.ndarray, v: np.ndarray):
     y1 = np.minimum(y0 + 1, h - 1)
     fx = uc - x0
     fy = vc - y0
-    w00 = (1.0 - fx) * (1.0 - fy)
-    w01 = fx * (1.0 - fy)
-    w10 = (1.0 - fx) * fy
-    w11 = fx * fy
-    n00, n01, n10, n11 = img[y0, x0], img[y0, x1], img[y1, x0], img[y1, x1]
-    values = w00 * n00 + w01 * n01 + w10 * n10 + w11 * n11
-    eps = 1e-12
-    holed = (
-        ((w00 > eps) & (n00 < Z_MIN))
-        | ((w01 > eps) & (n01 < Z_MIN))
-        | ((w10 > eps) & (n10 < Z_MIN))
-        | ((w11 > eps) & (n11 < Z_MIN))
-    )
+    values, holed = 0.0, False
+    for y, wy in ((y0, 1.0 - fy), (y1, fy)):
+        for x, wx in ((x0, 1.0 - fx), (x1, fx)):
+            weight, n = wx * wy, img[y, x]
+            values += weight * n
+            holed |= (weight > 1e-12) & (n < Z_MIN)
     return values, ~holed & (values >= Z_MIN)
 
 
-def _infer_grid(uv0: np.ndarray, k: Intrinsics) -> tuple[int, int]:
+def _infer_grid(uv0: np.ndarray) -> tuple[int, int]:
     """Recover (H, W) from row-major frame-0 grid positions."""
     n = uv0.shape[0]
     off_row = np.flatnonzero(np.abs(uv0[:, 1] - uv0[:1, 1]) > 0.25)  # n == 0 gives gw = 0
@@ -309,7 +302,7 @@ def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) 
     if not tracks.visible[0].all():
         raise ValueError("frame-0 track marked invisible")
 
-    gh, gw = _infer_grid(tracks.uv[0], k)
+    gh, gw = _infer_grid(tracks.uv[0])
     expected = grid_sample_uv(gh, gw, k)
     if np.max(np.abs(tracks.uv[0] - expected)) > 0.5:
         raise ValueError("frame-0 tracks not on the sample grid")

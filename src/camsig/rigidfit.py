@@ -140,7 +140,7 @@ def _lm_chunk(p, ov, wt, k: Intrinsics, x, coarse: float) -> list:
 
     nf = len(x)
     f, h, g, _, small = evaluate(p, ov, wt, x)
-    traces = [[cost] for cost in f]
+    history = [f.copy()]  # every cost after each round: a stopped frame's stays put
     stop = np.where(small, "gradient", "").astype(object)  # "" while running
     mu = np.full(nf, _MU_INIT)
     iterations = np.zeros(nf, dtype=int)
@@ -191,18 +191,17 @@ def _lm_chunk(p, ov, wt, k: Intrinsics, x, coarse: float) -> list:
                 x_new[won], f_new[won], h_new[won], g_new[won]
             )
         mu[rows] *= np.where(accepted[rows], 1.0 / _MU_FACTOR, _MU_FACTOR)
-        for i in rows:
-            traces[i].append(f[i])
+        history.append(f.copy())
         running = (stop == "") & (iterations < _MAX_ITERATIONS) & (mu <= _MU_MAX)
     stop[(stop == "") & (iterations >= _MAX_ITERATIONS)] = "max_iterations"
     stop[stop == ""] = "mu_limit"
 
-    traces = [np.array(trace) for trace in traces]
-    assert all(np.all(trace[1:] <= trace[:-1]) for trace in traces), "solver admitted an ascent step"
+    history = np.array(history)
+    assert (history[1:] <= history[:-1]).all(), "solver admitted an ascent step"
     rotations = so3_exp_batch(x[:, :3])[0]
     return [
-        FitResult(RigidMotion(r, xi[3:].copy()), float(fi), int(it), str(why), trace)
-        for r, xi, fi, it, why, trace in zip(rotations, x, f, iterations, stop, traces)
+        FitResult(RigidMotion(r, xi[3:].copy()), float(fi), int(it), str(why), history[: it + 1, i])
+        for i, (r, xi, fi, it, why) in enumerate(zip(rotations, x, f, iterations, stop))
     ]
 
 

@@ -86,7 +86,6 @@ class SceneSpec:
 class GroundTruth:
     field: TrajectoryField
     partition: PixelPartition
-    path: CameraPath
     depth0: np.ndarray  # (H, W)
     rgb0: np.ndarray    # (H, W, 3) uint8
     true_m: np.ndarray  # (T,) analytic motion strength
@@ -189,7 +188,6 @@ def generate_scene(spec: SceneSpec, path: CameraPath) -> GroundTruth:
     return GroundTruth(
         field=field,
         partition=PixelPartition(static.reshape(h, w)),
-        path=path,
         depth0=depth.reshape(h, w),
         rgb0=_procedural_texture(spec, static),
         true_m=true_m,

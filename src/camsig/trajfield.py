@@ -111,8 +111,6 @@ class ResidualField:
 
     g: np.ndarray
     valid: np.ndarray
-    grid_h: int
-    grid_w: int
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=float)
@@ -142,4 +140,4 @@ def residual_g(field: TrajectoryField, motions: Sequence[RigidMotion]) -> Residu
     for lam, m in enumerate(motions):
         g[lam] = field.positions[lam] - apply(m, p0)
     g[0] = 0.0  # guaranteed by the identity check; pinned against rounding
-    return ResidualField(g, field.visibility.copy(), field.grid_h, field.grid_w)
+    return ResidualField(g, field.visibility.copy())

@@ -295,6 +295,14 @@ def test_negative_threads_is_usage_error(tmp_path, capsys):
     assert main(["--threads", "0"] + argv) == 0
 
 
+def test_retired_quiet_flag_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    argv = ["path", "--primitive", "pan_left", "--magnitude", "0.2", "--frames", "4", "--out", str(out)]
+    assert main(["--quiet"] + argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --quiet")
+    assert not out.exists()
+
+
 def test_negative_seed_is_usage_error(tmp_path, capsys):
     scene, path, out = tmp_path / "scene.json", tmp_path / "path.json", tmp_path / "synth"
     write_scene(scene)
@@ -540,7 +548,7 @@ def test_help_lists_all_flags(capsys):
             assert flag in text, f"{command} help lacks {flag}"
     assert main(["--help"]) == 0
     text = capsys.readouterr().out
-    for flag in ("--seed", "--threads", "--quiet"):
+    for flag in ("--seed", "--threads"):
         assert flag in text
 
 

@@ -16,29 +16,47 @@ rotation and translation errors of the segmented motions unchanged. The
 relations need no recorded bytes, so they survive changes that move outputs
 at the rounding floor.
 
+Three relations of the rigid fit are checked the same way. Splitting the
+frames of `fit_rigid_frames` into chunks or calls changes no bit, as long
+as every call pads its frames to the same width. Mirroring the image
+horizontally (u -> W-1-u, cx -> W-1-cx, x -> -x, so a fitted R becomes
+diag(-1, 1, 1) R diag(-1, 1, 1)) and permuting the points change the order
+of sums, so they hold within a tolerance. A fit of exact observations
+stops on its gradient and lands within 1e-9 px. A noisy fit stops once a
+step changes its cost f by at most n*u*f, its rounding floor. That fixes
+the cost to a few n*u, but the motion only to about sqrt(n*u) relative
+(up to 1e-7 px here), so noisy fits are compared at 1e-6 px and in cost.
+Scaling the points and translations of a control tensor by s leaves its
+channels unchanged: exactly at s = 2^k, within 1e-9 px at s = 2.75.
+
 The runs are deterministic (derandomized, no example database): synthetic
 32x32 scenes of 12 frames with moving discs, without and with track noise,
-and 32x24 scenes of 6 frames with one moving disc under a zoom.
+32x24 scenes of 6 frames with one moving disc under a zoom, and clouds of
+8-79 points in 1-8 frames for the rigid fit.
 """
 
 import json
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import configuration, example, given, settings
 from hypothesis import strategies as st
 
+from camsig import rigidfit
 from camsig.campath import CameraPath, PrimitiveSpec, generate_primitive, load_path, save_path
 from camsig.cli import main
-from camsig.geometry import Intrinsics, RigidMotion, write_json
+from camsig.geometry import Intrinsics, RigidMotion, apply, project, so3_exp, write_json
 from camsig.io import read_depth, read_tensor, write_depth
+from camsig.rigidfit import fit_rigid_frames
 from camsig.segmentation import extract_static
+from camsig.signal import control_tensor
 from camsig.synth import DynamicObject, SceneSpec, generate_scene, scene_to_dict
 from camsig.trajfield import TrajectoryField
 from test_segmentation import KWIDE
-from util import pan_roll_path
+from util import K32, pan_roll_path, rng, smooth_motions, transported_field
 
 configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "camsig-hypothesis")
 
@@ -124,7 +142,7 @@ def scaled_copy(clip, out, s):
 
 def segment(clip):
     out = clip / "segment"
-    argv = ["--quiet", "segment", "--tracks", str(clip / "tracks.tct"), "--depth-dir", str(clip),
+    argv = ["segment", "--tracks", str(clip / "tracks.tct"), "--depth-dir", str(clip),
             "--intrinsics", str(clip / "intrinsics.json"), "--out", str(out)]
     assert main(argv) == 0
     report = json.loads((out / "report.json").read_text())
@@ -133,7 +151,7 @@ def segment(clip):
 
 def signal_from_video(clip):
     out = clip / "signal.tcs"
-    argv = ["--quiet", "signal-from-video", "--tracks", str(clip / "tracks.tct"), "--depth-dir", str(clip),
+    argv = ["signal-from-video", "--tracks", str(clip / "tracks.tct"), "--depth-dir", str(clip),
             "--intrinsics", str(clip / "intrinsics.json"), "--out", str(out)]
     assert main(argv) == 0
     return read_tensor(out), json.loads(out.with_suffix(".m.json").read_text())["m"]
@@ -272,3 +290,102 @@ def test_eval_errors_of_the_segmented_motions_are_scale_invariant(seed, k):
         base_errors = evaluate(base)
         assert evaluate(got) == base_errors
     assert base_errors[1] > 0.0  # the segmented translations are not exact
+
+
+def test_projective_scale_invariance():
+    gen = rng(43)
+    motions = smooth_motions(5, gen)
+    field = transported_field(K32, motions, jitter=0.2, gen=gen)
+    strength, grid = np.zeros(5), (K32.height, K32.width)
+    base = control_tensor(field.positions[0], motions, K32, strength, grid).data
+    for s in (2.75, 2.0**-8, 2.0**8):
+        scaled_motions = [RigidMotion(m.rotation, m.translation * s) for m in motions]
+        got = control_tensor(field.positions[0] * s, scaled_motions, K32, strength, grid).data
+        if s == 2.75:
+            assert np.max(np.abs(got - base)) < 1e-9
+        else:
+            assert got.tobytes() == base.tobytes()
+
+
+K_FIT = Intrinsics(fx=30.0, fy=28.0, cx=15.2, cy=11.7, width=32, height=24)
+NOISE = st.sampled_from([0.0, 0.3, 1.0])
+
+
+def fit_problem(seed, frames, noise, equal_counts=False):
+    """One cloud seen in each frame under a small motion; each frame selects at least 6 points."""
+    gen = rng(seed)
+    n = int(gen.integers(8, 80))
+    p0 = np.column_stack([gen.uniform(-1.0, 1.0, n), gen.uniform(-0.8, 0.8, n), gen.uniform(1.5, 4.0, n)])
+    truth = gen.normal(size=(frames, 6)) * [0.1, 0.1, 0.1, 0.2, 0.2, 0.2]
+    observed = np.stack([project(p0 @ so3_exp(x[:3]).T + x[3:], K_FIT) for x in truth])
+    observed += gen.normal(0.0, noise, size=observed.shape)
+    if equal_counts:
+        count = int(gen.integers(6, n + 1))
+        masks = np.argsort(gen.random((frames, n)), axis=1) < count
+    else:
+        masks = gen.random((frames, n)) < gen.uniform(0.3, 1.0, size=(frames, 1))
+        masks[:, :6] = True
+    return p0, observed, masks
+
+
+def fit(p0, observed, masks, k=K_FIT):
+    return fit_rigid_frames(p0, observed, masks, k, np.zeros((len(masks), 6)))[1]
+
+
+def assert_same_fits(got, base):
+    for a, b in zip(got, base, strict=True):
+        assert (a.final_cost, a.iterations, a.stop) == (b.final_cost, b.iterations, b.stop)
+        assert a.cost_trace.tobytes() == b.cost_trace.tobytes()
+        assert a.motion.rotation.tobytes() == b.motion.rotation.tobytes()
+        assert a.motion.translation.tobytes() == b.motion.translation.tobytes()
+
+
+def assert_close_fits(got_uv, base_uv, got, base, noise, n):
+    assert np.max(np.abs(got_uv - base_uv)) <= (1e-9 if noise == 0.0 else 1e-6)
+    assert abs(got.final_cost - base.final_cost) <= 8.0 * n * rigidfit._U * base.final_cost + 1e-20
+
+
+@EXACT
+@given(seed=st.integers(0, 2**31 - 1), frames=st.integers(2, 8), noise=NOISE)
+def test_rigid_fit_chunks_and_calls_change_no_bit(seed, frames, noise):
+    p0, observed, masks = fit_problem(seed, frames, noise)
+    base = fit(p0, observed, masks)
+    m = int(masks.sum(axis=1).max())
+    for per in range(1, frames):
+        with mock.patch.object(rigidfit, "BLOCK", per * m):
+            assert_same_fits(fit(p0, observed, masks), base)
+    # Separate calls pad alike when every frame selects as many points.
+    p0, observed, masks = fit_problem(seed, frames, noise, equal_counts=True)
+    base = fit(p0, observed, masks)
+    gen = rng(seed)
+    cuts = np.flatnonzero(gen.random(frames - 1) < 0.5) + 1
+    got = [None] * frames
+    for frames_of_call in np.split(gen.permutation(frames), cuts):
+        for lam, result in zip(frames_of_call, fit(p0, observed[frames_of_call], masks[frames_of_call])):
+            got[lam] = result
+    assert_same_fits(got, base)
+
+
+@EXACT
+@given(seed=st.integers(0, 2**31 - 1), frames=st.integers(1, 4), noise=NOISE)
+def test_rigid_fit_commutes_with_the_horizontal_mirror(seed, frames, noise):
+    p0, observed, masks = fit_problem(seed, frames, noise)
+    w = K_FIT.width - 1
+    k_mirror = Intrinsics(fx=K_FIT.fx, fy=K_FIT.fy, cx=w - K_FIT.cx, cy=K_FIT.cy, width=K_FIT.width, height=K_FIT.height)
+    flip = np.diag([-1.0, 1.0, 1.0])
+    mirrored = observed.copy()
+    mirrored[..., 0] = w - mirrored[..., 0]
+    for got, base, sel in zip(fit(p0 @ flip, mirrored, masks, k_mirror), fit(p0, observed, masks), masks, strict=True):
+        conjugate = RigidMotion(flip @ base.motion.rotation @ flip, flip @ base.motion.translation)
+        got_uv, base_uv = (project(apply(m, p0 @ flip), k_mirror) for m in (got.motion, conjugate))
+        assert_close_fits(got_uv, base_uv, got, base, noise, sel.sum())
+
+
+@EXACT
+@given(seed=st.integers(0, 2**31 - 1), frames=st.integers(1, 4), noise=NOISE)
+def test_rigid_fit_is_invariant_to_the_order_of_points(seed, frames, noise):
+    p0, observed, masks = fit_problem(seed, frames, noise)
+    order = rng(seed).permutation(len(p0))
+    for got, base, sel in zip(fit(p0[order], observed[:, order], masks[:, order]), fit(p0, observed, masks), masks, strict=True):
+        got_uv, base_uv = (project(apply(m, p0), K_FIT) for m in (got.motion, base.motion))
+        assert_close_fits(got_uv, base_uv, got, base, noise, sel.sum())

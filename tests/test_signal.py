@@ -125,7 +125,7 @@ def test_motion_strength_no_overlap_flag():
     g = np.zeros((3, 4, 3))
     valid = np.ones((3, 4), dtype=bool)
     valid[1] = False  # no point valid at pair (0, 1) nor (1, 2)
-    series = motion_strength(ResidualField(g, valid, 2, 2))
+    series = motion_strength(ResidualField(g, valid))
     assert series.m[1] == 0.0 and series.m[2] == 0.0
     assert series.no_overlap[1] and series.no_overlap[2]
     assert not series.no_overlap[0]
@@ -192,21 +192,6 @@ def test_inference_signal_rejects_bad_depth():
     path = CameraPath(identity_motions(3))
     with pytest.raises(ValueError, match=r"row 3, col 7"):
         build_inference_signal(depth, K32, path, 10.0)
-
-
-def test_projective_scale_invariance():
-    # Scaling all depths and translations together leaves channels unchanged.
-    gen = rng(43)
-    s = 2.75
-    motions = smooth_motions(5, gen)
-    field = transported_field(K32, motions, jitter=0.2, gen=gen)
-    ct_a, _ = field_tensor(field, motions)
-    scaled_motions = [
-        RigidMotion(m.rotation, m.translation * s) for m in motions
-    ]
-    scaled_field = transported_field(K32, scaled_motions, p0=field.positions[0] * s)
-    ct_b, _ = field_tensor(scaled_field, scaled_motions)
-    assert np.max(np.abs(ct_a.data - ct_b.data)) < 1e-9
 
 
 def test_normalize_tensor_range():
