@@ -1,12 +1,13 @@
 """Camera-space geometry: rotations, rigid motions, pinhole projection.
 
-It owns the package's one rigid transport (`apply`), pinhole model with
-camera-front test (`pinhole`) and image-footprint test (`in_image`); only
-the rigid fit projects on its own, to reuse x/z in its Jacobian. It also
-owns the JSON file reader and writer (`read_json`, `write_json`), the typed
-JSON reader (`json_object`, `json_list`, `json_number`) that every JSON
-input is parsed with, and the depth-map checks against the intrinsics
-(`check_depth_size`, and `check_first_depth` for the first frame).
+It owns the package's one rigid transport (`apply`; `transported` walks it
+over frames and point blocks), pinhole model with camera-front test
+(`pinhole`) and image-footprint test (`in_image`); only the rigid fit
+projects on its own, to reuse x/z in its Jacobian. It also owns the JSON
+file reader and writer (`read_json`, `write_json`), the typed JSON reader
+(`json_object`, `json_list`, `json_number`) that every JSON input is parsed
+with, and the depth-map checks against the intrinsics (`check_depth_size`,
+and `check_first_depth` for the first frame).
 
 Conventions used throughout the package:
   - camera axes: x right, y down, z forward (optical axis)
@@ -350,6 +351,20 @@ def apply(m: RigidMotion, points, *, buffer=None) -> np.ndarray:
         col += np.multiply(r[i, 1], p[..., 1], out=term)
         col += t[i] + 0.0  # einsum's sum is never -0.0, so a -0.0 shift acts as +0.0
     return np.moveaxis(cols, 0, -1)
+
+
+def transported(p0, motions):
+    """Yield (lam, block, apply(motions[lam], p0[block])) in blocks of at most BLOCK points.
+
+    The points are a view of one buffer pair reused for the whole walk, valid
+    until the next step. Every step is elementwise, so blocks change no bit.
+    """
+    n = len(p0)
+    cols, term = np.empty((3, min(n, BLOCK))), np.empty(min(n, BLOCK))
+    for lam, m in enumerate(motions):
+        for s in range(0, n, BLOCK):
+            w = min(BLOCK, n - s)
+            yield lam, slice(s, s + w), apply(m, p0[s : s + w], buffer=(cols[:, :w], term[:w]))
 
 
 def compose(outer: RigidMotion, inner: RigidMotion) -> RigidMotion:

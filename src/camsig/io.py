@@ -186,9 +186,7 @@ def _read_pnm(file, magic: bytes, channels: int) -> np.ndarray:
         raise FormatError(f"unsupported maxval {maxval}")
     _check_size(data, header.end() + w * h * channels)
     raster = np.frombuffer(data, dtype=np.uint8, offset=header.end())
-    if channels == 1:
-        return raster.reshape(h, w).copy()
-    return raster.reshape(h, w, channels).copy()
+    return raster.reshape((h, w, channels) if channels > 1 else (h, w)).copy()
 
 
 def read_ppm(file) -> np.ndarray:
@@ -313,11 +311,10 @@ def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) 
         tracked = tracks.visible[lam] & in_image(tracks.uv[lam], k)
         uv = tracks.uv[lam][tracked]
         depth, ok = _bilinear_depth(depths[lam], uv[:, 0], uv[:, 1])
-        vis = np.zeros(n, dtype=bool)
+        vis = visibility[lam]
         vis[tracked] = ok
         if lam == 0 and not vis.all():
             raise ValueError("frame-0 track has no valid depth")
-        visibility[lam] = vis
         positions[lam][vis] = unproject(tracks.uv[lam][vis], depth[ok], k)
     hold_last_valid(positions, visibility[..., None])
     return TrajectoryField(positions, visibility, gh, gw, k)

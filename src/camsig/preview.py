@@ -65,29 +65,22 @@ def splat_work(n: int, values, k: Intrinsics) -> tuple:
     """The working arrays of splat_zbuffer for n points of this payload, each mapped on its own."""
     pixels = k.height * k.width
     payload = values.shape[1:]
+    source = _mapped(np.intp, (n,))  # 0, 1, ..., n - 1, filled once in place: the splat only reads it
+    np.cumsum(np.broadcast_to(np.intp(1), n), out=source)
+    source -= 1
     return (
         _mapped(float, (2, n)),  # pinhole's u, v; rounded; then the gathered nearest depths
         _mapped(bool, (n,)),  # in front of the camera
         _mapped(bool, (n,)),  # kept
         _mapped(bool, (n,)),  # scratch
         _mapped(np.intp, (n,)),  # pixel index; H·W, the spare pixel, for a dropped point
-        _mapped(np.intp, (n,)),  # source index
+        source,  # source index
         _mapped(float, (pixels + 1,)),  # nearest depth per pixel, then the spare pixel
         _mapped(np.intp, (pixels + 1,)),  # winning source index per pixel, then the spare pixel
         _mapped(values.dtype, (n + 1,) + payload),  # the payload and a zero row
         _mapped(values.dtype, (pixels,) + payload),  # image
         _mapped(bool, (pixels,)),  # coverage
     )
-
-
-def _fill_arange(out):
-    """out[i] = i without allocating: each step copies the filled prefix shifted by its length."""
-    out[:1] = 0
-    step = 1
-    while step < len(out):
-        filled = out[step : 2 * step]
-        np.add(out[: len(filled)], step, out=filled)
-        step *= 2
 
 
 def splat_zbuffer(points, values, k: Intrinsics, *, buffer=None):
@@ -105,10 +98,10 @@ def splat_zbuffer(points, values, k: Intrinsics, *, buffer=None):
     payload extended by a zero row, which index n (an uncovered pixel)
     reads.
 
-    buffer is the tuple splat_work(N, values, k). Every step writes into
-    its arrays, and the image and coverage are views of its last two, valid
-    until its next use. Without one, the splat makes its own and returns
-    its image and coverage as they are, each a view of its own mapping.
+    buffer is the tuple splat_work(N, values, k). Every step but the read of
+    its source indices writes into its arrays; the image and coverage are
+    views of its last two, valid until its next use. Without one, the splat
+    makes its own and returns that tuple's image and coverage as they are.
     """
     h, w = k.height, k.width
     n, pixels = len(points), h * w
@@ -136,7 +129,6 @@ def splat_zbuffer(points, values, k: Intrinsics, *, buffer=None):
     # mode="clip" writes into out directly (the default mode buffers it); no index is out of range
     np.not_equal(z, np.take(zbuf, lin, out=u, mode="clip"), out=test)
     np.copyto(lin, pixels, where=test)  # only the points at their pixel's nearest depth stay
-    _fill_arange(source)
     ibuf.fill(n)  # n marks an uncovered pixel
     np.minimum.at(ibuf, lin, source)
     ext[:n] = values

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from camsig.geometry import RigidMotion, apply, pinhole
+from camsig.geometry import RigidMotion, pinhole, transported
 from camsig.rigidfit import fit_rigid_frames
 from camsig.rigidfit import fit_rigid  # noqa: F401  perfbench/tracer.py patches this name
 from camsig.trajfield import PixelPartition, TrajectoryField
@@ -80,21 +80,19 @@ def _per_point_errors(field, motions, obs, vis_count) -> np.ndarray:
     """Summed squared reprojection error per point, rescaled to T frames.
 
     A point driven behind the camera by a motion cannot be explained by it
-    and scores +inf for that frame; an invisible entry scores 0. Frames add
-    into one running (N,) sum in frame order.
+    and scores +inf for that frame; an invisible entry scores 0. Each
+    point's frames add into one running (N,) sum in frame order.
     """
-    t = field.num_frames
-    p0 = field.positions[0]
     total = np.zeros(field.num_points)
-    for lam, m in enumerate(motions):
-        uv, front = pinhole(apply(m, p0), field.intrinsics)
-        du = uv[:, 0] - obs[lam, :, 0]
-        dv = uv[:, 1] - obs[lam, :, 1]
+    for lam, b, q in transported(field.positions[0], motions):
+        uv, front = pinhole(q, field.intrinsics)
+        du = uv[:, 0] - obs[lam, b, 0]
+        dv = uv[:, 1] - obs[lam, b, 1]
         sq = du * du + dv * dv
         sq[~front] = math.inf
-        sq[~field.visibility[lam]] = 0.0
-        total += sq
-    return total * (t / vis_count)
+        sq[~field.visibility[lam, b]] = 0.0
+        total[b] += sq
+    return total * (field.num_frames / vis_count)
 
 
 def _short_frame(static, vis) -> str | None:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from camsig.campath import CameraPath
-from camsig.geometry import BLOCK, FLOAT32_MAX, Intrinsics, RigidMotion, apply, in_image, pinhole, unproject
+from camsig.geometry import FLOAT32_MAX, Intrinsics, RigidMotion, in_image, pinhole, transported, unproject
 from camsig.geometry import check_first_depth
 from camsig.trajfield import ResidualField, TrajectoryField, grid_sample_uv
 
@@ -73,17 +73,15 @@ def _transport_channels(p0, motions, k: Intrinsics, out: np.ndarray) -> np.ndarr
 
     An invalid entry holds the previous frame's value before the float64
     frame is cast to out's dtype, so no out-of-image value is ever cast.
-    Each frame runs in blocks of BLOCK points; every step is elementwise.
     """
     valid = np.empty((len(motions), p0.shape[0]), dtype=bool)
-    for lam, m in enumerate(motions):
-        for b in (slice(s, s + BLOCK) for s in range(0, p0.shape[0], BLOCK)):
-            uv, front = pinhole(apply(m, p0[b]), k)
-            valid[lam, b] = ok = front & in_image(uv, k)
-            frame = uv.T
-            if lam:
-                np.copyto(frame, out[lam - 1, :, b], where=~ok)
-            out[lam, :, b] = frame
+    for lam, b, q in transported(p0, motions):
+        uv, front = pinhole(q, k)
+        valid[lam, b] = ok = front & in_image(uv, k)
+        frame = uv.T
+        if lam:
+            np.copyto(frame, out[lam - 1, :, b], where=~ok)
+        out[lam, :, b] = frame
     return valid
 
 

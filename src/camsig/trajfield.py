@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from camsig.campath import CameraPath
-from camsig.geometry import Intrinsics, RigidMotion, Z_MIN, apply
+from camsig.geometry import Intrinsics, RigidMotion, Z_MIN, transported
 
 
 def grid_sample_uv(grid_h: int, grid_w: int, k: Intrinsics) -> np.ndarray:
@@ -69,10 +69,10 @@ class TrajectoryField:
             raise ValueError("visibility shape does not match positions")
         if not self.visibility[0].all():
             raise ValueError("all frame-0 points must be visible")
-        vis_pos = self.positions[self.visibility]
-        if not np.isfinite(vis_pos).all():
+        frames = list(zip(self.positions, self.visibility))  # one frame's visible copy at a time
+        if not all(np.isfinite(p[v]).all() for p, v in frames):
             raise ValueError("non-finite visible position")
-        if np.any(vis_pos[:, 2] < Z_MIN):
+        if any((p[v, 2] < Z_MIN).any() for p, v in frames):
             raise ValueError("visible position at or behind camera")
 
     @property
@@ -135,9 +135,8 @@ def residual_g(field: TrajectoryField, motions: Sequence[RigidMotion]) -> Residu
     """
     if len(CameraPath(motions)) != field.num_frames:
         raise ValueError("frame count mismatch")
-    p0 = field.positions[0]
     g = np.empty_like(field.positions)
-    for lam, m in enumerate(motions):
-        g[lam] = field.positions[lam] - apply(m, p0)
+    for lam, b, q in transported(field.positions[0], motions):
+        np.subtract(field.positions[lam, b], q, out=g[lam, b])
     g[0] = 0.0  # guaranteed by the identity check; pinned against rounding
     return ResidualField(g, field.visibility.copy())

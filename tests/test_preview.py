@@ -206,8 +206,10 @@ def test_threaded_render_matches_serial():
 def test_splat_into_a_reused_dirty_buffer_matches_its_own():
     # Every step overwrites what it reads, so work arrays full of garbage,
     # used again for another cloud of the same size, give the splat's own
-    # result; the image and coverage are views of the work tuple's. A NaN
-    # coordinate drops its point and raises no warning.
+    # result; the image and coverage are views of the work tuple's. The
+    # source index is the exception: splat_work fills it once, and the
+    # splat only reads it. A NaN coordinate drops its point and raises no
+    # warning.
     gen = rng(54)
     k = K32
     depth = gen.uniform(1.0, 3.0, k.height * k.width)
@@ -218,7 +220,8 @@ def test_splat_into_a_reused_dirty_buffer_matches_its_own():
 
     def dirty_work(n, values):
         work = splat_work(n, values, k)
-        for array in work:
+        assert np.array_equal(work[5], np.arange(n))
+        for array in work[:5] + work[6:]:
             raw = array.reshape(-1).view(np.uint8)
             raw[:] = np.frombuffer(gen.bytes(raw.size), dtype=np.uint8)
         return work
@@ -229,6 +232,7 @@ def test_splat_into_a_reused_dirty_buffer_matches_its_own():
             payload = values[: len(cloud)]
             work = full if len(cloud) == len(points) else dirty_work(len(cloud), payload)
             image, coverage = splat_zbuffer(cloud, payload, k, buffer=work)
+            assert np.array_equal(work[5], np.arange(len(cloud)))
             want = splat_zbuffer(cloud, payload, k)
             assert np.shares_memory(image, work[-2]) and np.shares_memory(coverage, work[-1])
             assert np.array_equal(image, want[0]) and np.array_equal(coverage, want[1])

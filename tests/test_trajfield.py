@@ -110,6 +110,27 @@ def test_field_validation():
         TrajectoryField(field.positions, field.visibility, 7, 5, K32)
 
 
+def test_field_checks_visible_positions_across_all_frames():
+    # Frames are checked one at a time, but a non-finite visible position in
+    # any frame is named before a visible position behind the camera in an
+    # earlier one; invisible entries are not checked.
+    field = transported_field(K32, identity_motions(4), gen=rng(9))
+    pos = field.positions.copy()
+    vis = field.visibility.copy()
+    pos[1, 5, 2] = -1.0
+    pos[3, 7] = [0.0, np.inf, 2.0]
+    with pytest.raises(ValueError, match="non-finite visible position"):
+        TrajectoryField(pos, vis, field.grid_h, field.grid_w, K32)
+    pos[3, 7, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite visible position"):
+        TrajectoryField(pos, vis, field.grid_h, field.grid_w, K32)
+    vis[3, 7] = False
+    with pytest.raises(ValueError, match="visible position at or behind camera"):
+        TrajectoryField(pos, vis, field.grid_h, field.grid_w, K32)
+    vis[1, 5] = False
+    TrajectoryField(pos, vis, field.grid_h, field.grid_w, K32)
+
+
 def test_grid_sample_uv_matches_pixel_centers():
     uv = grid_sample_uv(K32.height, K32.width, K32)
     assert np.array_equal(uv[0], [0.0, 0.0])

@@ -1,20 +1,23 @@
 """The transport-and-project callers against the batched reference.
 
-Every per-frame caller of `geometry.apply` and `geometry.pinhole` must
-reproduce, bit for bit, the batched `einsum("tij,nj->tni")` transport and
-the inline pinhole arithmetic that the recorded output files were made
-with. The reference implementations below are that arithmetic, kept as the
-oracle.
+Every per-frame caller of `geometry.apply` (through the block walk
+`geometry.transported`) and `geometry.pinhole` must reproduce, bit for
+bit, the batched `einsum("tij,nj->tni")` transport and the inline pinhole
+arithmetic that the recorded output files were made with. The reference
+implementations below are that arithmetic, kept as the oracle.
 """
 
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 
+import camsig
 from camsig.campath import CameraPath
-from camsig.geometry import RigidMotion, Z_MIN, so3_exp, unproject
+from camsig.geometry import BLOCK, RigidMotion, Z_MIN, apply, so3_exp, unproject
 from camsig.segmentation import _observed_projections, _per_point_errors
-from camsig.signal import BLOCK, _transport_channels, build_inference_signal
+from camsig.signal import _transport_channels, build_inference_signal
 from camsig.trajfield import TrajectoryField, grid_sample_uv, residual_g
 from util import K32, grid_points, random_points, rng, smooth_motions
 
@@ -87,15 +90,21 @@ def reference_residual_g(field, motions):
     return g
 
 
-def noisy_field(seed=0, t=6):
-    """Nonrigid field with occlusions: transported grid plus 3-D jitter."""
+def noisy_field(seed=0, t=6, p0=None):
+    """Nonrigid field with occlusions: transported points plus 3-D jitter.
+
+    The points are K32's pixel grid unless p0 is given, which makes a
+    one-row grid of its points.
+    """
     gen = rng(seed)
-    p0 = grid_points(K32, z_base=2.0, jitter=0.3, gen=gen)
+    if p0 is None:
+        p0 = grid_points(K32, z_base=2.0, jitter=0.3, gen=gen)
     positions = reference_transport(p0, smooth_motions(t, gen))
     positions[1:] += gen.normal(0.0, 0.01, size=positions[1:].shape)
     visibility = gen.uniform(size=positions.shape[:2]) > 0.2
     visibility[0] = True
-    return TrajectoryField(positions, visibility, K32.height, K32.width, K32)
+    grid = (K32.height, K32.width) if len(p0) == K32.height * K32.width else (1, len(p0))
+    return TrajectoryField(positions, visibility, *grid, K32)
 
 
 def leaving_motions(t=6):
@@ -160,8 +169,13 @@ def test_inference_signal_is_reference_channels_cast_to_float32():
     assert np.array_equal(ct.last_frame_valid, want_valid[-1])
 
 
-def test_per_point_errors_match_batched_reference():
-    field = noisy_field(seed=1)
+def several_blocks(seed):
+    """Two full blocks and a partial one, deep enough that leaving_motions pushes some behind the camera."""
+    return random_points(rng(seed), 2 * BLOCK + 37, z_range=(1.5, 2.5), spread=0.7)
+
+
+def check_per_point_errors(field):
+    """_per_point_errors against its oracle; returns the points pushed behind the camera while visible."""
     motions = leaving_motions()
     obs = _observed_projections(field)
     assert np.array_equal(obs, reference_observed_projections(field))
@@ -173,11 +187,42 @@ def test_per_point_errors_match_batched_reference():
     pushed = behind & field.visibility[-1]
     assert pushed.any() and np.all(got[pushed] == math.inf)
     assert np.isfinite(got[~behind]).all()
+    # Invisible entries score 0, also behind the camera.
+    assert (behind & ~field.visibility[-1]).any() and (~field.visibility[1:-1]).any()
+    return pushed
 
 
-def test_residual_g_matches_batched_reference():
-    field = noisy_field(seed=2)
+def test_per_point_errors_match_batched_reference():
+    check_per_point_errors(noisy_field(seed=1))
+
+
+def test_per_point_errors_match_batched_reference_across_blocks():
+    pushed = check_per_point_errors(noisy_field(seed=1, p0=several_blocks(79)))
+    assert all(pushed[s : s + BLOCK].any() for s in range(0, len(pushed), BLOCK))
+
+
+def check_residual_g(field):
     motions = leaving_motions()
     got = residual_g(field, motions)
     assert np.array_equal(got.g, reference_residual_g(field, motions))
     assert np.array_equal(got.valid, field.visibility)
+    behind = reference_transport(field.positions[0], motions)[-1, :, 2] < Z_MIN
+    assert (behind & field.visibility[-1]).any() and (~field.visibility[1:]).any()
+
+
+def test_residual_g_matches_batched_reference():
+    check_residual_g(noisy_field(seed=2))
+
+
+def test_residual_g_matches_batched_reference_across_blocks():
+    check_residual_g(noisy_field(seed=2, p0=several_blocks(80)))
+
+
+def test_only_geometry_preview_and_synth_bind_apply():
+    # Every other frame loop over first-frame points goes through
+    # geometry.transported. The preview projects inside splat_zbuffer, and
+    # synth moves points that differ from frame to frame.
+    modules = [path.stem for path in Path(camsig.__file__).parent.glob("*.py") if path.stem != "__init__"]
+    assert {"signal", "segmentation", "trajfield", "cli", "io"} <= set(modules)
+    binding = {name for name in modules if vars(importlib.import_module(f"camsig.{name}")).get("apply") is apply}
+    assert binding == {"geometry", "preview", "synth"}
