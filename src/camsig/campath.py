@@ -18,17 +18,6 @@ import numpy as np
 from camsig.geometry import RigidMotion, compose, is_rotation, so3_exp
 from camsig.geometry import json_list, json_number, json_object, read_json, write_json
 
-PRIMITIVE_KINDS = (
-    "pan_left",
-    "pan_right",
-    "pan_up",
-    "pan_down",
-    "zoom_in",
-    "zoom_out",
-    "rot_acw",
-    "rot_cw",
-)
-
 # Point-transform direction per unit magnitude: pans/zooms translate along
 # a fixed axis, rolls rotate about the optical axis (x toward y).
 _PAN_AXES = {
@@ -40,6 +29,7 @@ _PAN_AXES = {
     "zoom_out": np.array([0.0, 0.0, 1.0]),
 }
 _ROLL_SIGNS = {"rot_acw": 1.0, "rot_cw": -1.0}
+PRIMITIVE_KINDS = (*_PAN_AXES, *_ROLL_SIGNS)
 
 
 @dataclass(eq=False)

@@ -25,7 +25,7 @@ from camsig.campath import (
     motion_to_dict,
     save_path,
 )
-from camsig.geometry import FLOAT32_MAX, Intrinsics, check_depth_size, check_first_depth, in_image, project
+from camsig.geometry import FLOAT32_MAX, Intrinsics, check_depth_size, check_first_depth, in_image
 from camsig.geometry import read_json, write_json
 from camsig.io import (
     Tracks,
@@ -48,7 +48,7 @@ from camsig.segmentation import (
     extract_static,
 )
 from camsig.signal import build_inference_signal, control_tensor, motion_strength, normalize_tensor
-from camsig.synth import generate_scene, scene_from_dict, scene_to_dict
+from camsig.synth import PixelOverflow, generate_scene, scene_from_dict, scene_to_dict
 from camsig.trajfield import residual_g
 
 
@@ -109,22 +109,23 @@ def cmd_synth(args) -> int:
         spec = scene_from_dict(read_json(args.scene))
         if args.seed is not None:
             spec.seed = args.seed
-        gt = generate_scene(spec, path)
-    field = gt.field
-    k = field.intrinsics
-    # Per-frame depth images: z-buffered splat of the frame's visible
-    # points, holes left at zero. Track files model a real tracker: points
-    # outside the image footprint are marked invisible (their depth cannot be
-    # sampled downstream). Both are stored as float32, checked before writing.
-    depth_imgs = [splat_zbuffer(p[v], p[v, 2], k)[0] for p, v in zip(field.positions, field.visibility)]
-    uv = project(field.positions, k)
-    if not all((np.abs(a) <= FLOAT32_MAX).all() for a in depth_imgs + [uv]):
+        try:
+            gt = generate_scene(spec, path)
+        except PixelOverflow as exc:  # the path carries a point out of range
+            raise DataError(f"{args.path}: scene coordinates exceed the float32 range ({exc})") from exc
+    field, k = gt.field, spec.intrinsics
+    # Per-frame depth images: z-buffered splat of the frame's visible points,
+    # holes left at zero. Track files, like a real tracker, mark points outside
+    # the image footprint invisible. Both are float32, checked before writing.
+    lifted = map(field.lift, range(field.num_frames), field.visibility)
+    depth_imgs = [splat_zbuffer(p, p[:, 2], k)[0] for p in lifted]
+    if not all((np.abs(a) <= FLOAT32_MAX).all() for a in depth_imgs + [field.pixels]):
         raise DataError(f"{args.path}: scene coordinates exceed the float32 range of the output files")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for lam, depth_img in enumerate(depth_imgs):
         write_depth(out / f"depth_{lam:04d}.tcd", depth_img)
-    write_tracks(out / "tracks.tct", Tracks(uv, field.visibility & in_image(uv, k)))
+    write_tracks(out / "tracks.tct", Tracks(field.pixels, field.visibility & in_image(field.pixels, k)))
     save_path(path, out / "path.json")
     write_pgm(out / "partition.pgm", np.multiply(gt.partition.static_mask, 255, dtype=np.uint8))
     write_ppm(out / "rgb0.ppm", gt.rgb0)
@@ -132,22 +133,23 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _assemble(args, k):
+    """The trajectory field of the track and depth files, whose arrays are freed on return."""
+    tracks = _load(args.tracks, read_tracks)
+    depths = [_load(f, lambda f: check_depth_size(read_depth(f), k)) for f in _depth_files(args.depth_dir)]
+    if len(depths) != tracks.num_frames:
+        raise DataError(f"{args.depth_dir}: {len(depths)} depth maps for {tracks.num_frames} track frames")
+    with _blame(args.tracks):
+        return assemble_field(depths, tracks, k)
+
+
 def _extract(args):
     """Assemble the trajectory field and extract its static region."""
     config = SegmentationConfig(  # built first: its errors name a flag, not a file
         epsilon=args.epsilon, alpha=args.alpha, max_iterations=args.max_iters
     )
-    k = _load(args.intrinsics, _read_intrinsics)
-    tracks = _load(args.tracks, read_tracks)
-    depths = [
-        _load(f, lambda f: check_depth_size(read_depth(f), k)) for f in _depth_files(args.depth_dir)
-    ]
-    if len(depths) != tracks.num_frames:
-        raise DataError(
-            f"{args.depth_dir}: {len(depths)} depth maps for {tracks.num_frames} track frames"
-        )
+    field = _assemble(args, _load(args.intrinsics, _read_intrinsics))
     with _blame(args.tracks):
-        field = assemble_field(depths, tracks, k)
         return field, extract_static(field, config)
 
 
@@ -198,7 +200,7 @@ def cmd_signal_from_video(args) -> int:
     with _blame(args.tracks):
         strength = motion_strength(residual_g(field, result.motions))
         tensor = control_tensor(
-            field.positions[0], result.motions, field.intrinsics, strength.m, (field.grid_h, field.grid_w)
+            field.points0, result.motions, field.intrinsics, strength.m, (field.grid_h, field.grid_w)
         )
     write_tensor(args.out, tensor)
     _write_json(
@@ -281,6 +283,9 @@ def cmd_eval(args) -> int:
 
 
 def _add_segmentation_flags(sub):
+    sub.add_argument("--tracks", required=True, help="track file (TCT1)")
+    sub.add_argument("--depth-dir", required=True, help="directory of per-frame depth files (TCD1)")
+    sub.add_argument("--intrinsics", required=True, help="intrinsics JSON")
     sub.add_argument("--epsilon", type=float, default=None, help="tolerable summed error per point, px^2 (default 4*T)")
     sub.add_argument("--alpha", type=float, default=0.15, help="acceptable ratio in (0,1)")
     sub.add_argument("--max-iters", type=int, default=10, help="maximum extraction iterations")
@@ -290,7 +295,7 @@ def _add_segmentation_flags(sub):
 def build_parser() -> _Parser:
     parser = _Parser(prog="camsig", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="override scene seed / RNG seed")
-    parser.add_argument("--threads", type=int, default=0, help="worker threads for per-frame work (0 = auto)")
+    parser.add_argument("--threads", type=int, default=0, help="preview render threads (0 = one per CPU)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("synth", help="generate a synthetic scene and export its files")
@@ -300,9 +305,6 @@ def build_parser() -> _Parser:
     sub.set_defaults(func=cmd_synth)
 
     sub = commands.add_parser("segment", help="extract the static region from tracks + depth")
-    sub.add_argument("--tracks", required=True, help="track file (TCT1)")
-    sub.add_argument("--depth-dir", required=True, help="directory of per-frame depth files (TCD1)")
-    sub.add_argument("--intrinsics", required=True, help="intrinsics JSON")
     _add_segmentation_flags(sub)
     sub.add_argument("--out", required=True, help="output directory")
     sub.set_defaults(func=cmd_segment)
@@ -310,9 +312,6 @@ def build_parser() -> _Parser:
     sub = commands.add_parser(
         "signal-from-video", help="full training-side pipeline: assemble, extract, pack"
     )
-    sub.add_argument("--tracks", required=True, help="track file (TCT1)")
-    sub.add_argument("--depth-dir", required=True, help="directory of per-frame depth files (TCD1)")
-    sub.add_argument("--intrinsics", required=True, help="intrinsics JSON")
     _add_segmentation_flags(sub)
     sub.add_argument("--out", required=True, help="output control tensor (TCS1)")
     sub.set_defaults(func=cmd_signal_from_video)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from camsig.geometry import Intrinsics, Z_MIN, check_depth_size, in_image, unproject
+from camsig.geometry import Intrinsics, Z_MIN, check_depth_size, in_image
 from camsig.signal import ControlTensor
 from camsig.trajfield import TrajectoryField, grid_sample_uv, hold_last_valid
 
@@ -141,7 +141,7 @@ def read_tracks(file) -> Tracks:
     bad = (vis_bytes > 1).nonzero()[0]
     if bad.size:
         raise FormatError(f"invalid visibility byte at record {int(bad[0])}")
-    uv = np.stack([records["u"], records["v"]], axis=1).astype(float).reshape(t, n, 2)
+    uv = np.stack([records["u"], records["v"]], axis=1, dtype=float).reshape(t, n, 2)  # no float32 copy
     if not np.isfinite(uv).all():
         raise FormatError("non-finite track coordinate")
     return Tracks(uv, vis_bytes.astype(bool).reshape(t, n))
@@ -283,15 +283,13 @@ def _infer_grid(uv0: np.ndarray) -> tuple[int, int]:
 
 
 def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) -> TrajectoryField:
-    """Lift 2D tracks to per-frame camera coordinates with per-frame depth.
+    """The field of 2D tracks and the bilinear depth sample at each track pixel.
 
-    Each visible track point inside the image footprint is lifted at the
-    bilinear depth sample of that frame's depth map at its own position, so
-    its projection reproduces the observed track exactly. A track outside
-    the footprint is not an observation and marks the entry invisible.
-    Positions in the half-pixel margin past the outer pixel centers sample
-    at the clamped location; non-positive sampled depth marks the entry
-    invisible. Invisible entries carry the last visible position.
+    A visible track inside the image footprint samples its frame's depth map
+    at its own position (clamped in the half-pixel margin past the outer
+    pixel centers); a track outside the footprint, or a hole or non-positive
+    sample, marks the entry invisible. Invisible entries carry the last
+    visible pixel and depth.
     """
     t, n = tracks.num_frames, tracks.num_points
     if len(depths) != t:
@@ -305,16 +303,18 @@ def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) 
     if np.max(np.abs(tracks.uv[0] - expected)) > 0.5:
         raise ValueError("frame-0 tracks not on the sample grid")
 
-    positions = np.zeros((t, n, 3))
+    pixels = tracks.uv.copy()
+    depth = np.empty((t, n))  # every entry is sampled or held
     visibility = np.zeros((t, n), dtype=bool)
     for lam in range(t):
         tracked = tracks.visible[lam] & in_image(tracks.uv[lam], k)
         uv = tracks.uv[lam][tracked]
-        depth, ok = _bilinear_depth(depths[lam], uv[:, 0], uv[:, 1])
+        sample, ok = _bilinear_depth(depths[lam], uv[:, 0], uv[:, 1])
         vis = visibility[lam]
         vis[tracked] = ok
         if lam == 0 and not vis.all():
             raise ValueError("frame-0 track has no valid depth")
-        positions[lam][vis] = unproject(tracks.uv[lam][vis], depth[ok], k)
-    hold_last_valid(positions, visibility[..., None])
-    return TrajectoryField(positions, visibility, gh, gw, k)
+        depth[lam][vis] = sample[ok]
+    hold_last_valid(pixels, visibility[..., None])
+    hold_last_valid(depth, visibility)
+    return TrajectoryField(pixels, depth, visibility, gh, gw, k)

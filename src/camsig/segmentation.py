@@ -69,25 +69,18 @@ class SegmentationResult:
     diagnostics: list
 
 
-def _observed_projections(field: TrajectoryField) -> np.ndarray:
-    """Pixel observations of the tracked points (undefined where invisible)."""
-    uv, _ = pinhole(field.positions, field.intrinsics)
-    uv[~field.visibility] = 0.0
-    return uv
-
-
-def _per_point_errors(field, motions, obs, vis_count) -> np.ndarray:
-    """Summed squared reprojection error per point, rescaled to T frames.
+def _per_point_errors(field, motions, vis_count) -> np.ndarray:
+    """Summed squared reprojection error against the track pixels, rescaled to T frames.
 
     A point driven behind the camera by a motion cannot be explained by it
     and scores +inf for that frame; an invisible entry scores 0. Each
     point's frames add into one running (N,) sum in frame order.
     """
     total = np.zeros(field.num_points)
-    for lam, b, q in transported(field.positions[0], motions):
+    for lam, b, q in transported(field.points0, motions):
         uv, front = pinhole(q, field.intrinsics)
-        du = uv[:, 0] - obs[lam, b, 0]
-        dv = uv[:, 1] - obs[lam, b, 1]
+        du = uv[:, 0] - field.pixels[lam, b, 0]
+        dv = uv[:, 1] - field.pixels[lam, b, 1]
         sq = du * du + dv * dv
         sq[~front] = math.inf
         sq[~field.visibility[lam, b]] = 0.0
@@ -122,7 +115,7 @@ def extract_static(field: TrajectoryField, config: SegmentationConfig | None = N
     k = field.intrinsics
     vis = field.visibility
     vis_count = vis.sum(axis=0)
-    obs = _observed_projections(field)
+    p0, obs = field.points0, field.pixels[1:]
     min_count = max(int(math.ceil(_MIN_STATIC_FRACTION * n)), 6)
 
     def decide(err, static, eps_max, last):
@@ -159,16 +152,16 @@ def extract_static(field: TrajectoryField, config: SegmentationConfig | None = N
         # parameters of the previous iteration (zero at the first).
         iterations_used += 1
         sel = static & vis[1:]
-        params, fits = fit_rigid_frames(field.positions[0], obs[1:], sel, k, params, coarse=_COARSE)
+        params, fits = fit_rigid_frames(p0, obs, sel, k, params, coarse=_COARSE)
         redo = [i for i, result in enumerate(fits) if result.stop not in ("gradient", "floor")]
         while True:
             motions = [RigidMotion.identity()] + [result.motion for result in fits]
-            err = _per_point_errors(field, motions, obs, vis_count)
+            err = _per_point_errors(field, motions, vis_count)
             eps_max = float(err[static].max())
             status, note, next_static = decide(err, static, eps_max, iterations_used == cfg.max_iterations)
             if status is None or not redo:
                 break
-            params[redo], refits = fit_rigid_frames(field.positions[0], obs[1:][redo], sel[redo], k, params[redo])
+            params[redo], refits = fit_rigid_frames(p0, obs[redo], sel[redo], k, params[redo])
             for i, result in zip(redo, refits):
                 fits[i] = result
             redo = []

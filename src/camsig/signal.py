@@ -136,7 +136,7 @@ def motion_strength(g: ResidualField) -> MotionStrengthSeries:
 def point_trajectory(field: TrajectoryField, motions: Sequence[RigidMotion]) -> ControlTensor:
     """The field's control tensor with a zero strength channel."""
     grid = (field.grid_h, field.grid_w)
-    return control_tensor(field.positions[0], motions, field.intrinsics, np.zeros(field.num_frames), grid)
+    return control_tensor(field.points0, motions, field.intrinsics, np.zeros(field.num_frames), grid)
 
 
 def pack_tensor(ct: ControlTensor, m: MotionStrengthSeries) -> ControlTensor:

@@ -11,7 +11,8 @@ bitwise-identical scenes across platforms.
 
 Occlusion between a moving cluster and the background is not modeled in
 the visibility flags: a point is visible while it stays in front of the
-camera, with exact coordinates even outside the image rectangle.
+camera, even outside the image rectangle. A visible point whose pixel
+overflows to infinity raises PixelOverflow, naming its frame.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from camsig.campath import CameraPath, motion_from_dict, motion_to_dict
 from camsig.geometry import Intrinsics, apply, pinhole, unproject
 from camsig.geometry import json_list, json_number, json_object
 from camsig.trajfield import PixelPartition, TrajectoryField, grid_sample_uv, hold_last_valid
+
+
+class PixelOverflow(ValueError):
+    """A visible point's pixel is beyond the float64 range: its camera path carries it too far."""
 
 
 @dataclass
@@ -157,23 +162,23 @@ def generate_scene(spec: SceneSpec, path: CameraPath) -> GroundTruth:
 
     exact = np.stack([apply(m, p0 + d) for m, d in zip(path.motions, disp)])
 
-    # A point stays visible while it is in front of the camera; points that
-    # drift outside the image keep exact coordinates, like a tracker that
-    # reports off-screen positions. File export narrows this to the image
-    # footprint where depth maps exist.
+    # The field holds each point's pixel, noisy after frame 0, and its exact
+    # depth. A point is visible while it is in front of the camera; outside
+    # the image it keeps its pixel, like a tracker that reports off-screen
+    # positions. File export narrows this to the image footprint.
     uv, visible = pinhole(exact, k)
     if not visible[0].all():
         raise ValueError("object not visible in frame 0")
-
-    positions = exact.copy()
-    for lam in range(1, t):
-        if spec.track_noise > 0.0:
-            eta = rng.normal(0.0, spec.track_noise, size=(n, 2))
-            vis = visible[lam] & np.isfinite(uv[lam]).all(axis=-1)  # an overflowed pixel stays exact
-            positions[lam][vis] = unproject((uv[lam] + eta)[vis], exact[lam][vis, 2], k)
-    hold_last_valid(positions, visible[..., None])
-
-    field = TrajectoryField(positions, visible, h, w, k)
+    overflow = np.flatnonzero((visible & ~np.isfinite(uv).all(axis=-1)).any(axis=1))
+    if overflow.size:
+        raise PixelOverflow(f"a visible pixel of frame {overflow[0]} overflows the float64 range")
+    if spec.track_noise > 0.0:
+        for lam in range(1, t):
+            uv[lam] += rng.normal(0.0, spec.track_noise, size=(n, 2))
+    z = exact[..., 2].copy()
+    hold_last_valid(uv, visible[..., None])
+    hold_last_valid(z, visible)
+    field = TrajectoryField(uv, z, visible, h, w, k)
 
     # Analytic strength from the camera-rotated object displacements; the
     # static background contributes exactly zero.

@@ -1,21 +1,22 @@
 """Discrete point-trajectory fields over the first-frame pixel grid.
 
 A trajectory field stores, for every point of an H x W grid sampled in the
-first frame, its 3D position in each frame's camera coordinate system plus
-a per-frame visibility flag. The nonrigid residual of a field against a
-sequence of rigid motions is the core quantity behind both the static
-region extraction and the motion-strength signal.
+first frame, its tracked pixel, depth and visibility in each frame, and
+lifts them to camera space on request. The nonrigid residual of a field
+against a sequence of rigid motions is the core quantity behind both the
+static region extraction and the motion-strength signal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from camsig.campath import CameraPath
-from camsig.geometry import Intrinsics, RigidMotion, Z_MIN, transported
+from camsig.geometry import Intrinsics, RigidMotion, Z_MIN, transported, unproject
 
 
 def grid_sample_uv(grid_h: int, grid_w: int, k: Intrinsics) -> np.ndarray:
@@ -41,47 +42,59 @@ def hold_last_valid(values: np.ndarray, valid: np.ndarray) -> None:
 
 @dataclass(eq=False)
 class TrajectoryField:
-    """Per-frame 3D positions and visibility for the first-frame grid.
+    """Per-frame track pixels (T, H*W, 2), depths (T, H*W) and visibility (T, H*W).
 
-    positions:  (T, H*W, 3) camera-space coordinates, frame-major then
-                row-major over the grid. Entries invisible at a frame carry
-                their last visible position.
-    visibility: (T, H*W) booleans; frame 0 must be fully visible.
+    Entries run frame-major, then row-major over the first-frame grid. Frame
+    0 is fully visible; an invisible entry holds its last visible pixel and
+    depth. points0 lifts frame 0 to camera space once; `lift` lifts any
+    frame or block of points on request.
     """
 
-    positions: np.ndarray
+    pixels: np.ndarray
+    depth: np.ndarray
     visibility: np.ndarray
     grid_h: int
     grid_w: int
     intrinsics: Intrinsics
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
+        self.pixels = np.asarray(self.pixels, dtype=float)
+        self.depth = np.asarray(self.depth, dtype=float)
         self.visibility = np.asarray(self.visibility, dtype=bool)
-        if self.positions.ndim != 3 or self.positions.shape[2] != 3:
-            raise ValueError("positions must have shape (T, H*W, 3)")
-        t, n, _ = self.positions.shape
+        if self.pixels.ndim != 3 or self.pixels.shape[2] != 2:
+            raise ValueError("pixels must have shape (T, H*W, 2)")
+        t, n, _ = self.pixels.shape
         if t < 1:
             raise ValueError("field needs at least one frame")
         if n != self.grid_h * self.grid_w:
             raise ValueError("point count does not match grid dimensions")
-        if self.visibility.shape != (t, n):
-            raise ValueError("visibility shape does not match positions")
+        if self.depth.shape != (t, n) or self.visibility.shape != (t, n):
+            raise ValueError("depth or visibility shape does not match pixels")
         if not self.visibility[0].all():
             raise ValueError("all frame-0 points must be visible")
-        frames = list(zip(self.positions, self.visibility))  # one frame's visible copy at a time
-        if not all(np.isfinite(p[v]).all() for p, v in frames):
-            raise ValueError("non-finite visible position")
-        if any((p[v, 2] < Z_MIN).any() for p, v in frames):
-            raise ValueError("visible position at or behind camera")
+        frames = list(zip(self.pixels, self.depth, self.visibility))  # one frame's visible copy at a time
+        if not all(np.isfinite(uv[v]).all() and np.isfinite(d[v]).all() for uv, d, v in frames):
+            raise ValueError("non-finite visible pixel or depth")
+        if any((d[v] < Z_MIN).any() for _, d, v in frames):
+            raise ValueError("visible depth at or behind camera")
+        self.points0 = self.lift(0)
+
+    def lift(self, lam: int, block=slice(None)) -> np.ndarray:
+        """Camera-space points of frame lam's entries in block, unprojected at their depths."""
+        return unproject(self.pixels[lam, block], self.depth[lam, block], self.intrinsics)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """(T, H*W, 3) every frame lifted at once, for export and tests."""
+        return unproject(self.pixels, self.depth, self.intrinsics)
 
     @property
     def num_frames(self) -> int:
-        return self.positions.shape[0]
+        return self.pixels.shape[0]
 
     @property
     def num_points(self) -> int:
-        return self.positions.shape[1]
+        return self.pixels.shape[1]
 
 
 @dataclass(eq=False)
@@ -130,13 +143,13 @@ class ResidualField:
 def residual_g(field: TrajectoryField, motions: Sequence[RigidMotion]) -> ResidualField:
     """Residual of the field against rigid transports of its frame-0 points.
 
-    g[lam][i] = positions[lam][i] - (R_lam @ positions[0][i] + t_lam); entries
-    invisible at a frame are computed but flagged invalid.
+    g[lam][i] = p[lam][i] - (R_lam @ p[0][i] + t_lam), with p the lifted
+    positions; entries invisible at a frame are computed but flagged invalid.
     """
     if len(CameraPath(motions)) != field.num_frames:
         raise ValueError("frame count mismatch")
-    g = np.empty_like(field.positions)
-    for lam, b, q in transported(field.positions[0], motions):
-        np.subtract(field.positions[lam, b], q, out=g[lam, b])
+    g = np.empty((field.num_frames, field.num_points, 3))
+    for lam, b, q in transported(field.points0, motions):
+        np.subtract(field.lift(lam, b), q, out=g[lam, b])
     g[0] = 0.0  # guaranteed by the identity check; pinned against rounding
     return ResidualField(g, field.visibility.copy())

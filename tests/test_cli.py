@@ -22,7 +22,7 @@ from camsig.io import (
 from camsig.preview import RgbdFrame, render_preview, splat_zbuffer
 from camsig.signal import build_inference_signal, normalize_tensor
 from camsig.synth import generate_scene, scene_from_dict
-from camsig.trajfield import grid_sample_uv
+from camsig.trajfield import TrajectoryField, grid_sample_uv
 from util import K32, rng
 
 
@@ -137,6 +137,23 @@ def test_signal_from_video_pipeline(tmp_path):
     m_doc = json.loads(tensor_file.with_suffix(".m.json").read_text())
     assert m_doc["m"][0] == 0.0
     assert all(v > 0.0 for v in m_doc["m"][1:])
+
+
+def test_training_commands_never_lift_every_frame(tmp_path, monkeypatch):
+    # synth, segment and signal-from-video lift frames or blocks on request;
+    # none of them builds the field's whole (T, N, 3) position array.
+    def refuse(field):
+        raise AssertionError("TrajectoryField.positions was materialised")
+
+    monkeypatch.setattr(TrajectoryField, "positions", property(refuse))
+    objects = [{"center": [15.5, 15.5], "radius": 5.0, "velocity": [0.0, 0.05, 0.0]}]
+    out = run_synth(tmp_path, objects=objects, noise=0.3)
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    inputs = ["--tracks", str(out / "tracks.tct"), "--depth-dir", str(out), "--intrinsics", str(k_file)]
+    assert main(["segment", *inputs, "--out", str(tmp_path / "seg")]) == 0
+    assert main(["signal-from-video", *inputs, "--out", str(tmp_path / "signal.tcs")]) == 0
+    assert read_tensor(tmp_path / "signal.tcs").data.shape == (5, 3, K32.height, K32.width)
 
 
 def test_signal_from_video_strength_beyond_float32_is_data_error(tmp_path, capsys):

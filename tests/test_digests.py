@@ -19,7 +19,7 @@ from camsig.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEGMENT_SEED_3_CLIP_0_TCS1 = {
-    "segment_noisy": "7f61a3730a32ab301c3abd34d7d6771aa573841488b2e4fd725f42e82b1141f9",
+    "segment_noisy": "bd54706b1efb477c9a708d047b64a82ce7f51a68372ba7ff9f514789067dfb66",
     "segment_clean_large": "e60d451a25d8a6ff05d2bb1461a904d4e7ca4a2efe122854bdbb1285593eb82f",
 }
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from camsig.campath import PrimitiveSpec, generate_primitive
-from camsig.geometry import project, unproject
+from camsig.geometry import BLOCK, Intrinsics, project, unproject
 from camsig.io import (
     FormatError,
     Tracks,
+    _bilinear_depth,
     assemble_field,
     read_correspondences,
     read_depth,
@@ -276,6 +277,24 @@ class TestCorrespondences:
             read_correspondences(file)
 
 
+def several_block_clip():
+    """Tracks of a grid of more than 2·BLOCK points over 3 frames, with invisible,
+    outside-the-image and hole-sampling entries in every block of frames 1 and 2."""
+    k = Intrinsics(fx=200.0, fy=200.0, cx=129.5, cy=64.5, width=260, height=130)
+    gen = rng(90)
+    uv0 = grid_sample_uv(k.height, k.width, k)
+    n = len(uv0)
+    assert n > 2 * BLOCK
+    uv = np.stack([uv0, uv0 + gen.normal(0.0, 3.0, (n, 2)), uv0 + gen.normal(0.0, 6.0, (n, 2))])
+    uv = uv.astype(np.float32).astype(float)
+    visible = gen.uniform(size=(3, n)) > 0.1
+    visible[0] = True
+    depths = [gen.uniform(1.0, 4.0, (k.height, k.width)) for _ in range(3)]
+    for d in depths[1:]:
+        d[gen.uniform(size=d.shape) < 0.02] = 0.0  # holes
+    return k, depths, Tracks(uv, visible)
+
+
 class TestAssembleField:
     def test_single_frame_unprojects_grid(self):
         uv = grid_sample_uv(K32.height, K32.width, K32)
@@ -314,6 +333,41 @@ class TestAssembleField:
         assert both[0].all()
         err = np.abs(rebuilt.positions[both] - field.positions[both])
         assert np.max(err) < 1e-5
+
+    def test_field_holds_the_track_pixels_and_depth_samples(self):
+        k, depths, tracks = several_block_clip()
+        field = assemble_field(depths, tracks, k)
+        vis = field.visibility
+        held = tracks.visible & ~vis  # tracked, but outside the image or on a hole
+        assert held[1:].any() and (~tracks.visible[1:]).any() and vis[1:].any()
+        assert not (vis & ~tracks.visible).any()
+        samples = [_bilinear_depth(d, uv[:, 0], uv[:, 1])[0] for d, uv in zip(depths, tracks.uv)]
+        for lam in range(field.num_frames):
+            v = vis[lam]
+            assert np.array_equal(field.pixels[lam][v], tracks.uv[lam][v])
+            assert np.array_equal(field.depth[lam][v], samples[lam][v])
+            if lam:
+                assert np.array_equal(field.pixels[lam][~v], field.pixels[lam - 1][~v])
+                assert np.array_equal(field.depth[lam][~v], field.depth[lam - 1][~v])
+
+    def test_lifted_frames_equal_the_lift_then_hold_assembly(self):
+        # The reference is the assembly that stored positions: unproject
+        # each frame's visible entries, then hold the last visible position.
+        k, depths, tracks = several_block_clip()
+        field = assemble_field(depths, tracks, k)
+        positions = np.zeros(tracks.uv.shape[:2] + (3,))
+        for lam, (d, uv) in enumerate(zip(depths, tracks.uv)):
+            v = field.visibility[lam]
+            positions[lam][v] = unproject(uv[v], _bilinear_depth(d, uv[v, 0], uv[v, 1])[0], k)
+            if lam:
+                positions[lam][~v] = positions[lam - 1][~v]
+        assert np.array_equal(field.points0, positions[0])
+        for lam in range(field.num_frames):
+            assert np.array_equal(field.lift(lam), positions[lam])
+            for s in range(0, field.num_points, BLOCK):
+                b = slice(s, s + BLOCK)
+                assert np.array_equal(field.lift(lam, b), positions[lam, b])
+                assert not field.visibility[lam, b].all() or lam == 0
 
     def test_invisible_track_stays_invisible(self):
         uv = grid_sample_uv(K32.height, K32.width, K32)

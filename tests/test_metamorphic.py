@@ -38,6 +38,7 @@ The runs are deterministic (derandomized, no example database): synthetic
 import json
 import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -54,7 +55,6 @@ from camsig.rigidfit import fit_rigid_frames
 from camsig.segmentation import extract_static
 from camsig.signal import control_tensor
 from camsig.synth import DynamicObject, SceneSpec, generate_scene, scene_to_dict
-from camsig.trajfield import TrajectoryField
 from test_segmentation import KWIDE
 from util import K32, pan_roll_path, rng, smooth_motions, transported_field
 
@@ -80,7 +80,7 @@ def disc_scene(seed, noise, speed):
 
 
 def scaled(field, s):
-    return TrajectoryField(field.positions * s, field.visibility, field.grid_h, field.grid_w, field.intrinsics)
+    return replace(field, depth=field.depth * s)  # every lifted position scales by s exactly
 
 
 @EXACT

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,7 @@ from camsig.segmentation import (
     extract_static,
 )
 from camsig.synth import DynamicObject, SceneSpec, generate_scene
-from camsig.trajfield import TrajectoryField
-from util import K32, K64, pan_roll_path, rng, smooth_motions, transported_field
+from util import K32, K64, field_at, pan_roll_path, rng, smooth_motions, transported_field
 
 KWIDE = Intrinsics(fx=20.0, fy=20.0, cx=15.5, cy=15.5, width=32, height=32)
 
@@ -107,7 +108,7 @@ def test_underdetermined_initial_set_is_degenerate():
     gt, _ = quad_object_scene()
     vis = gt.field.visibility.copy()
     vis[1, 2:] = False  # frame 1 sees two points of the all-static start
-    field = TrajectoryField(gt.field.positions, vis, gt.field.grid_h, gt.field.grid_w, K32)
+    field = replace(gt.field, visibility=vis)
     result = extract_static(field)
     assert result.status == STATUS_DEGENERATE
     assert result.iterations_used == 0
@@ -162,7 +163,7 @@ def test_underdetermined_names_the_first_short_frame():
     vis[3:, [40, 200, 500, 700]] = True
     vis[3, [200, 500]] = False
     vis[5, [40, 700]] = False
-    field = TrajectoryField(field.positions, vis, field.grid_h, field.grid_w, K32)
+    field = replace(field, visibility=vis)
     result = extract_static(field)
     assert result.status == STATUS_DEGENERATE and result.iterations_used == 0
     assert result.diagnostics == [
@@ -201,6 +202,32 @@ def test_one_solver_call_per_chunk_never_per_frame(monkeypatch):
     assert all(f * m <= BLOCK for f, m, _ in calls)
 
 
+def test_fits_observe_the_track_pixels(monkeypatch):
+    # Every fit sees the frame-0 points and the field's own pixels: each
+    # iteration's coarse pass gets field.pixels[1:] itself, and a refit its
+    # frames' rows of it.
+    calls = []
+    fit = segmentation.fit_rigid_frames
+
+    def spy(points0, observed, masks, k, init, coarse=0.0):
+        calls.append((points0, observed, coarse))
+        return fit(points0, observed, masks, k, init, coarse=coarse)
+
+    monkeypatch.setattr(segmentation, "fit_rigid_frames", spy)
+    gt, _ = quad_object_scene(frames=6, noise=0.3)
+    field = gt.field
+    extract_static(field)
+    assert [c for _, _, c in calls].count(0.0) == 1 and len(calls) >= 3
+    frames = field.pixels[1:]
+    for points0, observed, coarse in calls:
+        assert points0 is field.points0
+        if coarse:
+            assert np.shares_memory(observed, field.pixels) and np.array_equal(observed, frames)
+        else:
+            rows = [i for i, frame in enumerate(frames) for row in observed if np.array_equal(row, frame)]
+            assert len(rows) == len(observed) and rows == sorted(set(rows))
+
+
 def test_max_iters_status():
     gt, _ = quad_object_scene()
     result = extract_static(gt.field, SegmentationConfig(max_iterations=1))
@@ -216,9 +243,7 @@ def test_converged_full_status():
     field = transported_field(K32, motions, jitter=0.3, gen=gen)
     wobble = gen.normal(scale=1e-5, size=field.positions.shape)
     wobble[0] = 0.0
-    field = TrajectoryField(
-        field.positions + wobble, field.visibility, field.grid_h, field.grid_w, K32
-    )
+    field = field_at(field.positions + wobble, field.visibility, K32)
     probe = extract_static(field)
     assert probe.status == STATUS_CONVERGED_EPS
     eps_max = probe.eps_max_trace[0]
@@ -233,7 +258,7 @@ def test_occluded_static_point_still_classified_static():
     static_flat = gt.partition.static_mask.ravel()
     idx = int(np.flatnonzero(static_flat)[10])
     vis[1::2, idx] = False  # invisible every other frame
-    field = TrajectoryField(gt.field.positions, vis, gt.field.grid_h, gt.field.grid_w, K32)
+    field = replace(gt.field, visibility=vis)
     result = extract_static(field)
     assert result.partition.static_mask.ravel()[idx]
     assert np.array_equal(result.partition.static_mask, gt.partition.static_mask)
@@ -336,7 +361,7 @@ def exit_scene(scene):
         field = transported_field(K32, smooth_motions(6, gen), jitter=0.3, gen=gen)
         wobble = gen.normal(scale=1e-3, size=field.positions.shape)
         wobble[0] = 0.0
-        field = TrajectoryField(field.positions + wobble, field.visibility, field.grid_h, field.grid_w, K32)
+        field = field_at(field.positions + wobble, field.visibility, K32)
         return field, SegmentationConfig(epsilon=extract_static(field).eps_max_trace[0] * 0.8, alpha=0.9)
     if scene == "collapse":  # the disc covers most of the grid; _MIN_STATIC_FRACTION is 0.6
         objects = [DynamicObject(center=(15.5, 15.5), radius=14.0, velocity=(0.08, 0.0, 0.0))]
@@ -352,7 +377,7 @@ def exit_scene(scene):
     keep = np.concatenate([np.flatnonzero(static & vis[1])[[100, 700]], np.flatnonzero(~static & vis[1])[[5, 60]]])
     vis[1] = False
     vis[1, keep] = True
-    return TrajectoryField(gt.field.positions, vis, gt.field.grid_h, gt.field.grid_w, K32), None
+    return replace(gt.field, visibility=vis), None
 
 
 EXITS = {  # scene -> status, start of its diagnostic
@@ -380,6 +405,5 @@ def test_no_exit_returns_coarse_motions(monkeypatch, scene):
     for motion, fit in zip(result.motions[1:], fits):
         assert np.array_equal(motion.rotation, fit.motion.rotation)
         assert np.array_equal(motion.translation, fit.motion.translation)
-    obs = segmentation._observed_projections(field)
-    err = segmentation._per_point_errors(field, result.motions, obs, field.visibility.sum(axis=0))
+    err = segmentation._per_point_errors(field, result.motions, field.visibility.sum(axis=0))
     assert np.array_equal(result.per_point_error.ravel(), err)

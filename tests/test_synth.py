@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from camsig.campath import PrimitiveSpec, generate_primitive
+from camsig.campath import CameraPath, PrimitiveSpec, generate_primitive
 from camsig.geometry import RigidMotion, project
 from camsig.segmentation import STATUS_CONVERGED_EPS, extract_static
 from camsig.signal import motion_strength
-from camsig.synth import DynamicObject, SceneSpec, generate_scene, scene_from_dict, scene_to_dict
+from camsig.synth import DynamicObject, PixelOverflow, SceneSpec, generate_scene, scene_from_dict, scene_to_dict
 from camsig.trajfield import residual_g
 from util import K32, pan_roll_path
 
@@ -120,6 +120,31 @@ def test_noise_applied_only_after_frame0():
     assert not np.array_equal(gt.field.positions[1], clean.field.positions[1])
     # Noise perturbs pixels, not depth.
     assert np.array_equal(gt.field.positions[1][:, 2], clean.field.positions[1][:, 2])
+
+
+def test_field_holds_pixels_and_exact_depths():
+    path = pan_roll_path(6, pan=0.1, roll=0.05)
+    spec = one_object_scene((0.02, 0.0, 0.01))
+    spec.track_noise = 0.5
+    gt = generate_scene(spec, path)
+    clean = generate_scene(one_object_scene((0.02, 0.0, 0.01)), path)
+    assert np.array_equal(gt.field.depth, clean.field.depth)
+    assert np.array_equal(gt.field.pixels[0], clean.field.pixels[0])
+    assert np.array_equal(gt.field.depth[0], gt.depth0.ravel())
+    noise = gt.field.pixels[1:] - clean.field.pixels[1:]
+    assert 0.4 < noise.std() < 0.6 and np.abs(noise.mean()) < 0.05
+
+
+def test_overflowing_pixel_raises_naming_its_frame():
+    # A visible point carried to x = 1e308 projects beyond the float64
+    # range; the scene is refused rather than the point hidden.
+    motions = list(pan_roll_path(5, pan=0.1, roll=0.05).motions)
+    motions[3] = RigidMotion(motions[3].rotation, np.array([1e308, 0.0, 0.0]))
+    with pytest.raises(PixelOverflow, match="frame 3 overflows the float64 range"):
+        generate_scene(static_scene(frames=5), CameraPath(motions))
+    assert issubclass(PixelOverflow, ValueError)
+    motions[3] = RigidMotion(motions[3].rotation, np.array([1e300, 0.0, 0.0]))  # finite pixels
+    assert np.isfinite(generate_scene(static_scene(frames=5), CameraPath(motions)).field.pixels).all()
 
 
 def test_scene_dict_roundtrip():

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from camsig.geometry import RigidMotion, so3_exp
+from camsig.geometry import RigidMotion, so3_exp, unproject
 from camsig.signal import control_tensor
-from camsig.trajfield import TrajectoryField, grid_sample_uv, residual_g
-from util import K32, identity_motions, rng, smooth_motions, transported_field
+from camsig.trajfield import grid_sample_uv, residual_g
+from util import K32, field_at, identity_motions, rng, smooth_motions, transported_field
 
 
 def test_static_field_has_zero_residual():
@@ -36,9 +38,7 @@ def test_dynamic_cluster_residual_equals_offset():
     offsets = np.zeros((t, n, 3))
     for lam in range(1, t):
         offsets[lam, cluster] = np.array([0.01, -0.02, 0.005]) * lam
-    moved = TrajectoryField(
-        field.positions + offsets, field.visibility, field.grid_h, field.grid_w, K32
-    )
+    moved = field_at(field.positions + offsets, field.visibility, K32)
     res = residual_g(moved, motions)
     assert np.allclose(res.g, offsets, atol=1e-12)
 
@@ -52,9 +52,7 @@ def test_residual_affine_in_positions():
     field = transported_field(K32, motions, jitter=0.1, gen=gen)
     extra = gen.normal(scale=0.01, size=field.positions.shape)
     extra[0] = 0.0
-    shifted = TrajectoryField(
-        field.positions + extra, field.visibility, field.grid_h, field.grid_w, K32
-    )
+    shifted = field_at(field.positions + extra, field.visibility, K32)
     base = residual_g(field, motions)
     res = residual_g(shifted, motions)
     assert np.allclose(res.g, base.g + extra, atol=1e-12)
@@ -67,7 +65,7 @@ def test_residual_zero_iff_rigid():
     assert np.max(np.abs(residual_g(field, motions).g)) < 1e-12
     bumped = field.positions.copy()
     bumped[2, 17] += np.array([0.05, 0.0, 0.0])
-    nonrigid = TrajectoryField(bumped, field.visibility, field.grid_h, field.grid_w, K32)
+    nonrigid = field_at(bumped, field.visibility, K32)
     assert np.max(np.abs(residual_g(nonrigid, motions).g)) > 0.01
 
 
@@ -84,7 +82,7 @@ def test_non_identity_frame0_rejected():
         with pytest.raises(ValueError, match="frame-0 motion must be identity"):
             residual_g(field, bad)
         with pytest.raises(ValueError, match="frame-0 motion must be identity"):
-            control_tensor(field.positions[0], bad, K32, np.zeros(3), (field.grid_h, field.grid_w))
+            control_tensor(field.points0, bad, K32, np.zeros(3), (field.grid_h, field.grid_w))
 
 
 def test_frame_count_mismatch_rejected():
@@ -101,34 +99,47 @@ def test_field_validation():
     vis = field.visibility.copy()
     vis[0, 5] = False
     with pytest.raises(ValueError, match="frame-0"):
-        TrajectoryField(field.positions, vis, field.grid_h, field.grid_w, K32)
-    pos = field.positions.copy()
-    pos[1, 5, 2] = -1.0
+        replace(field, visibility=vis)
+    depth = field.depth.copy()
+    depth[1, 5] = -1.0
     with pytest.raises(ValueError, match="behind camera"):
-        TrajectoryField(pos, field.visibility, field.grid_h, field.grid_w, K32)
+        replace(field, depth=depth)
     with pytest.raises(ValueError, match="grid"):
-        TrajectoryField(field.positions, field.visibility, 7, 5, K32)
+        replace(field, grid_h=7, grid_w=5)
+    with pytest.raises(ValueError, match="depth or visibility shape"):
+        replace(field, depth=field.depth[:, :-1])
 
 
 def test_field_checks_visible_positions_across_all_frames():
-    # Frames are checked one at a time, but a non-finite visible position in
-    # any frame is named before a visible position behind the camera in an
-    # earlier one; invisible entries are not checked.
+    # Frames are checked one at a time, but a non-finite visible pixel or
+    # depth in any frame is named before a visible depth behind the camera
+    # in an earlier one; invisible entries are not checked.
     field = transported_field(K32, identity_motions(4), gen=rng(9))
-    pos = field.positions.copy()
-    vis = field.visibility.copy()
-    pos[1, 5, 2] = -1.0
-    pos[3, 7] = [0.0, np.inf, 2.0]
-    with pytest.raises(ValueError, match="non-finite visible position"):
-        TrajectoryField(pos, vis, field.grid_h, field.grid_w, K32)
-    pos[3, 7, 1] = np.nan
-    with pytest.raises(ValueError, match="non-finite visible position"):
-        TrajectoryField(pos, vis, field.grid_h, field.grid_w, K32)
+    uv, depth, vis = field.pixels.copy(), field.depth.copy(), field.visibility.copy()
+    depth[1, 5] = -1.0
+    uv[3, 7, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite visible pixel or depth"):
+        replace(field, pixels=uv, depth=depth)
+    uv[3, 7, 1] = 4.0
+    depth[3, 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite visible pixel or depth"):
+        replace(field, pixels=uv, depth=depth)
     vis[3, 7] = False
-    with pytest.raises(ValueError, match="visible position at or behind camera"):
-        TrajectoryField(pos, vis, field.grid_h, field.grid_w, K32)
+    with pytest.raises(ValueError, match="visible depth at or behind camera"):
+        replace(field, pixels=uv, depth=depth, visibility=vis)
     vis[1, 5] = False
-    TrajectoryField(pos, vis, field.grid_h, field.grid_w, K32)
+    replace(field, pixels=uv, depth=depth, visibility=vis)
+
+
+def test_lifted_frames_unproject_the_held_pixels_and_depths():
+    gen = rng(10)
+    field = transported_field(K32, smooth_motions(4, gen), jitter=0.2, gen=gen)
+    want = np.stack([unproject(uv, d, K32) for uv, d in zip(field.pixels, field.depth)])
+    assert np.array_equal(field.points0, want[0])
+    assert np.array_equal(field.positions, want)
+    for lam in range(field.num_frames):
+        assert np.array_equal(field.lift(lam), want[lam])
+        assert np.array_equal(field.lift(lam, slice(40, 97)), want[lam, 40:97])
 
 
 def test_grid_sample_uv_matches_pixel_centers():

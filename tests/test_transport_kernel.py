@@ -16,10 +16,10 @@ import numpy as np
 import camsig
 from camsig.campath import CameraPath
 from camsig.geometry import BLOCK, RigidMotion, Z_MIN, apply, so3_exp, unproject
-from camsig.segmentation import _observed_projections, _per_point_errors
+from camsig.segmentation import _per_point_errors
 from camsig.signal import _transport_channels, build_inference_signal
-from camsig.trajfield import TrajectoryField, grid_sample_uv, residual_g
-from util import K32, grid_points, random_points, rng, smooth_motions
+from camsig.trajfield import grid_sample_uv, residual_g
+from util import K32, field_at, grid_points, random_points, rng, smooth_motions
 
 
 def reference_transport(p0, motions):
@@ -57,20 +57,8 @@ def reference_transport_channels(p0, motions, k, grid_h, grid_w):
     return channels, valid.reshape(t, grid_h, grid_w)
 
 
-def reference_observed_projections(field):
-    k = field.intrinsics
-    pos = field.positions
-    uv = np.zeros(pos.shape[:2] + (2,))
-    z = pos[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uv[..., 0] = k.fx * pos[..., 0] / z + k.cx
-        uv[..., 1] = k.fy * pos[..., 1] / z + k.cy
-    uv[~field.visibility] = 0.0
-    return uv
-
-
-def reference_per_point_errors(field, motions, obs, vis_count):
-    k = field.intrinsics
+def reference_per_point_errors(field, motions, vis_count):
+    k, obs = field.intrinsics, field.pixels
     q = reference_transport(field.positions[0], motions)
     z = q[..., 2]
     front = z >= Z_MIN
@@ -104,7 +92,7 @@ def noisy_field(seed=0, t=6, p0=None):
     visibility = gen.uniform(size=positions.shape[:2]) > 0.2
     visibility[0] = True
     grid = (K32.height, K32.width) if len(p0) == K32.height * K32.width else (1, len(p0))
-    return TrajectoryField(positions, visibility, *grid, K32)
+    return field_at(positions, visibility, K32, grid)
 
 
 def leaving_motions(t=6):
@@ -177,11 +165,9 @@ def several_blocks(seed):
 def check_per_point_errors(field):
     """_per_point_errors against its oracle; returns the points pushed behind the camera while visible."""
     motions = leaving_motions()
-    obs = _observed_projections(field)
-    assert np.array_equal(obs, reference_observed_projections(field))
     vis_count = field.visibility.sum(axis=0)
-    got = _per_point_errors(field, motions, obs, vis_count)
-    want = reference_per_point_errors(field, motions, obs, vis_count)
+    got = _per_point_errors(field, motions, vis_count)
+    want = reference_per_point_errors(field, motions, vis_count)
     assert np.array_equal(got, want)
     behind = reference_transport(field.positions[0], motions)[-1, :, 2] < Z_MIN
     pushed = behind & field.visibility[-1]

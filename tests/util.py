@@ -3,7 +3,7 @@
 import numpy as np
 
 from camsig.campath import CameraPath, PrimitiveSpec, compose_paths, generate_primitive
-from camsig.geometry import Intrinsics, RigidMotion, so3_exp, unproject
+from camsig.geometry import Intrinsics, RigidMotion, pinhole, so3_exp, unproject
 from camsig.trajfield import TrajectoryField, grid_sample_uv
 
 K64 = Intrinsics(fx=64.0, fy=64.0, cx=31.5, cy=31.5, width=64, height=64)
@@ -50,7 +50,17 @@ def transported_field(k, motions, p0=None, z_base=2.0, jitter=0.0, gen=None):
     t = len(motions)
     positions = np.stack([p0 @ m.rotation.T + m.translation for m in motions])
     visibility = np.ones((t, p0.shape[0]), dtype=bool)
-    return TrajectoryField(positions, visibility, k.height, k.width, k)
+    return field_at(positions, visibility, k)
+
+
+def field_at(positions, visibility, k, grid=None):
+    """The field whose entries lie at the given (T, N, 3) camera-space positions.
+
+    It holds their pinhole pixels and their depths, so its lifted positions
+    equal the given ones up to rounding. grid defaults to k's image.
+    """
+    uv, _ = pinhole(positions, k)
+    return TrajectoryField(uv, positions[..., 2], visibility, *(grid or (k.height, k.width)), k)
 
 
 def identity_motions(t):
