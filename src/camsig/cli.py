@@ -41,7 +41,7 @@ from camsig.io import (
     write_tracks,
 )
 from camsig.metrics import msc, rot_err, trans_err
-from camsig.preview import RgbdFrame, render_preview, splat_zbuffer
+from camsig.preview import RgbdFrame, render_preview, splat_work, splat_zbuffer
 from camsig.segmentation import (
     STATUS_DEGENERATE,
     SegmentationConfig,
@@ -115,10 +115,12 @@ def cmd_synth(args) -> int:
             raise DataError(f"{args.path}: scene coordinates exceed the float32 range ({exc})") from exc
     field, k = gt.field, spec.intrinsics
     # Per-frame depth images: z-buffered splat of the frame's visible points,
-    # holes left at zero. Track files, like a real tracker, mark points outside
-    # the image footprint invisible. Both are float32, checked before writing.
+    # holes left at zero, all in one work tuple for the largest frame. Track
+    # files, like a real tracker, mark points outside the image footprint
+    # invisible. Both are float32, checked before writing.
     lifted = map(field.lift, range(field.num_frames), field.visibility)
-    depth_imgs = [splat_zbuffer(p, p[:, 2], k)[0] for p in lifted]
+    work = splat_work(int(field.visibility.sum(axis=1).max(initial=0)), np.empty(0), k)
+    depth_imgs = [splat_zbuffer(p, p[:, 2], k, buffer=work)[0].copy() for p in lifted]
     if not all((np.abs(a) <= FLOAT32_MAX).all() for a in depth_imgs + [field.pixels]):
         raise DataError(f"{args.path}: scene coordinates exceed the float32 range of the output files")
     out = Path(args.out)

@@ -98,10 +98,10 @@ def splat_zbuffer(points, values, k: Intrinsics, *, buffer=None):
     payload extended by a zero row, which index n (an uncovered pixel)
     reads.
 
-    buffer is the tuple splat_work(N, values, k). Every step but the read of
-    its source indices writes into its arrays; the image and coverage are
-    views of its last two, valid until its next use. Without one, the splat
-    makes its own and returns that tuple's image and coverage as they are.
+    buffer is splat_work(M, values, k), M >= N, of which the splat uses the
+    first N point entries. Every step but the read of its source indices
+    writes into its arrays; the image and coverage are views of its last
+    two, valid until its next use, or of a tuple of its own without one.
     """
     h, w = k.height, k.width
     n, pixels = len(points), h * w
@@ -110,6 +110,7 @@ def splat_zbuffer(points, values, k: Intrinsics, *, buffer=None):
     if buffer is None:
         buffer = splat_work(n, values, k)
     cols, front, keep, test, lin, source, zbuf, ibuf, ext, image, coverage = buffer
+    cols, front, keep, test, lin, source = cols[:, :n], front[:n], keep[:n], test[:n], lin[:n], source[:n]
     uv, _ = pinhole(points, k, buffer=(cols, front))
     in_image(uv, k, buffer=(keep, test))
     keep &= front

@@ -6,7 +6,8 @@ are parameterized in axis-angle coordinates so the solver runs
 unconstrained; minimization uses damped Gauss-Newton (Levenberg–Marquardt)
 on the 6×6 normal equations, stacked over a batch of frames that share
 their first-frame points (a single frame is a batch of one). All reductions
-run in fixed index order, so results are bitwise deterministic.
+run in fixed index order over each frame's own selected points, so results
+are bitwise deterministic and a frame's fit does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -55,48 +56,58 @@ class FitResult:
         return self.stop in STOPS[:3]
 
 
-def _normal_equations(p, ov, wt, k, x):
+def _normal_equations(p, ov, spans, k, x):
     """Cost, JᵀJ, Jᵀr and point count of each frame f's pixel residuals r.
 
-    p[f] (3×M) holds its first-frame points, ov[f] (2×M) their observed
-    pixels, wt[f] their 0/1 weights and x[f] its parameters. A zero weight
-    zeroes a point's residuals and, through fx/z and fy/z, its Jacobian
-    rows; points moved behind the camera (z < Z_MIN) weigh zero, and with
-    no survivors the cost is +inf so the solver rejects such parameters.
+    Frame f's first-frame points are the rows spans[f] of p (P×3), their
+    observed pixels those of ov (P×2), and x[f] its parameters; its sums run
+    over its own rows only. Points moved behind the camera (z < Z_MIN) have
+    zero residuals and, through fx/z and fy/z, zero Jacobian rows; with no
+    survivors the cost is +inf so the solver rejects such parameters.
     """
     r_mat, jr = so3_exp_batch(x[:, :3])
-    s = r_mat @ p
-    z = s[:, 2] + x[:, 5, None]
-    w = wt * (z >= Z_MIN)
-    n = w.sum(axis=1)
-    inv_z = w / np.where(w > 0.0, z, 1.0)
-    u = (s[:, 0] + x[:, 3, None]) * inv_z
-    v = (s[:, 1] + x[:, 4, None]) * inv_z
+    s = np.empty((3, len(p)))
+    for r, c in zip(r_mat, spans):
+        np.matmul(r, p[c].T, out=s[:, c])
+    t = np.repeat(x[:, 3:].T, [c.stop - c.start for c in spans], axis=1)
+    z = s[2] + t[2]
+    w = z >= Z_MIN
+    inv_z = w / np.where(w, z, 1.0)
+    u = (s[0] + t[0]) * inv_z
+    v = (s[1] + t[1]) * inv_z
 
     # Jacobian over (phi, t), where phi rotates on the left:
     # exp(phi) R p + t + dt moves q by phi x (R p) + dt. The pinhole
     # derivative of the u residual is fx/qz (1, 0, -u), giving the row
     # fx/qz ((R p) x (1, 0, -u), 1, 0, -u); likewise for v. e holds J's
-    # columns, times _FLIP, then r, so one product gives JᵀJ and Jᵀr.
-    sx, sy, sz = s[:, 0], s[:, 1], s[:, 2]
-    e = np.empty((len(x), 7, 2, p.shape[2]))
-    eu, ev = e[:, :, 0], e[:, :, 1]
-    fu, fv = np.multiply(k.fx, inv_z, out=eu[:, 3]), np.multiply(k.fy, inv_z, out=ev[:, 4])
-    ufu, vfv = np.multiply(u, fu, out=eu[:, 5]), np.multiply(v, fv, out=ev[:, 5])
-    eu[:, 0], eu[:, 1], eu[:, 2], eu[:, 4] = ufu * sy, sz * fu + ufu * sx, -sy * fu, 0.0
-    ev[:, 0], ev[:, 1], ev[:, 2], ev[:, 3] = sz * fv + vfv * sy, vfv * sx, sx * fv, 0.0
-    eu[:, 6], ev[:, 6] = k.fx * u + k.cx - ov[:, 0], k.fy * v + k.cy - ov[:, 1]
-    e[:, 6] *= w[:, None]
-    e = e.reshape(len(x), 7, -1)
-    # 6×7, not 6×6: numpy sends a square J @ J.T to BLAS syrk, 3× slower here.
-    jtj_jtr = e[:, :6] @ e.transpose(0, 2, 1)
+    # columns, times _FLIP, then r. One product over a frame's u columns
+    # then its v columns, copied side by side, gives its JᵀJ and Jᵀr.
+    sx, sy, sz = s
+    e = np.empty((7, 2, len(p)))
+    eu, ev = e[:, 0], e[:, 1]
+    fu, fv = np.multiply(k.fx, inv_z, out=eu[3]), np.multiply(k.fy, inv_z, out=ev[4])
+    ufu, vfv = np.multiply(u, fu, out=eu[5]), np.multiply(v, fv, out=ev[5])
+    eu[0], eu[1], eu[2], eu[4] = ufu * sy, sz * fu + ufu * sx, -sy * fu, 0.0
+    ev[0], ev[1], ev[2], ev[3] = sz * fv + vfv * sy, vfv * sx, sx * fv, 0.0
+    eu[6], ev[6] = k.fx * u + k.cx - ov[:, 0], k.fy * v + k.cy - ov[:, 1]
+    e[6] *= w
+    jtj_jtr, block = np.empty((len(x), 6, 7)), np.empty(14 * max(len(p[c]) for c in spans))
+    for f, c in enumerate(spans):
+        ef = block[: 14 * len(p[c])].reshape(7, 2, -1)
+        ef[...] = e[:, :, c]
+        ef = ef.reshape(7, -1)
+        # 6×7, not 6×6: numpy sends a square J @ J.T to BLAS syrk, 3× slower here.
+        np.matmul(ef[:6], ef.T, out=jtj_jtr[f])
     # exp(w + dw) = exp(R J_r(w) dw) exp(w) to first order, so phi = R J_r(w) dw.
     chain = np.tile(np.diag(_FLIP), (len(x), 1, 1))
     chain[:, :3, :3] = _FLIP[:3, None] * (r_mat @ jr)
     chain_t = chain.transpose(0, 2, 1)
     jtj = chain_t @ jtj_jtr[:, :, :6] @ chain
     jtr = (chain_t @ jtj_jtr[:, :, 6:])[..., 0]
-    cost = np.where(n > 0.0, np.einsum("fi,fi->f", e[:, 6], e[:, 6]) / np.maximum(n, 1.0), math.inf)
+    starts = [c.start for c in spans]
+    n = np.add.reduceat(w, starts, dtype=float)
+    rr = np.add.reduceat(np.square(e[6]), starts, axis=1).sum(axis=0)  # each frame's u, plus its v, residuals
+    cost = np.where(n > 0.0, rr / np.maximum(n, 1.0), math.inf)
     return cost, jtj, jtr, n
 
 
@@ -118,42 +129,47 @@ def reproj_cost_grad(points0, observed, mask, k: Intrinsics, params):
     """
     p0, obs, sel = _validate_inputs(points0, [observed], [mask])
     x = np.asarray(params, dtype=float).reshape(1, 6)
-    p, ov, wt = p0[sel[0]].T[None], obs[0, sel[0]].T[None], np.ones((1, int(sel.sum())))
-    cost, _, jtr, n = _normal_equations(p, ov, wt, k, x)
+    cost, _, jtr, n = _normal_equations(p0[sel[0]], obs[0, sel[0]], _spans(sel.sum(axis=1)), k, x)
     return float(cost[0]), (2.0 / max(n[0], 1.0)) * jtr[0]
 
 
-def _lm_chunk(p, ov, wt, k: Intrinsics, x, coarse: float) -> list:
+def _spans(counts) -> list:
+    """Consecutive row slices of these lengths, from row 0."""
+    return [slice(int(b - c), int(b)) for c, b in zip(counts, np.cumsum(counts))]
+
+
+def _lm_chunk(p, ov, spans, k: Intrinsics, x, coarse: float) -> list:
     """Levenberg–Marquardt on one chunk of frames; x (F×6) is updated in place.
 
-    Each frame keeps its own damping, stop reason, iteration count and cost
-    trace. A round makes one stacked solve and one evaluation of the running
-    frames; a frame that stops drops out of later rounds.
+    Frame f's points are the rows spans[f] of p and ov; it keeps its own
+    damping, stop reason, iteration count and cost trace. A round makes one
+    stacked solve and one evaluation of the running frames; a stopped frame
+    drops out.
     """
 
-    def evaluate(p, ov, wt, params):
-        cost, jtj, jtr, n = _normal_equations(p, ov, wt, k, params)
+    def evaluate(params):
+        cost, jtj, jtr, n = _normal_equations(p, ov, spans, k, params)
         cost[np.isnan(cost) | np.isnan(jtr).any(axis=1)] = math.inf  # rejected as a trial
         scale = np.sqrt(n[:, None] * np.diagonal(jtj, axis1=1, axis2=2))  # px RMS per unit
         grad = 2.0 * np.abs(jtr) / np.where(scale > 0.0, scale, 1.0)
         return cost, jtj, jtr, n, (n > 0.0) & (grad.max(axis=1) <= _GRADIENT_TOLERANCE)
 
     nf = len(x)
-    f, h, g, _, small = evaluate(p, ov, wt, x)
+    f, h, g, _, small = evaluate(x)
     history = [f.copy()]  # every cost after each round: a stopped frame's stays put
     stop = np.where(small, "gradient", "").astype(object)  # "" while running
     mu = np.full(nf, _MU_INIT)
     iterations = np.zeros(nf, dtype=int)
     diag = np.arange(6)
-    rows = np.arange(nf)  # the running frames, whose blocks p, ov and wt hold
+    rows = np.arange(nf)  # the running frames, whose points p and ov hold
     running = stop == ""
     while running.any():
         if not running[rows].all():
-            keep = np.flatnonzero(running[rows])
-            rows = rows[keep]
-            for a in (p, ov, wt):  # in place: no second copy of the blocks
-                a[: len(keep)] = a[keep]
-            p, ov, wt = p[: len(keep)], ov[: len(keep)], wt[: len(keep)]
+            kept = [c for c, r in zip(spans, rows) if running[r]]
+            spans = _spans([len(p[c]) for c in kept])
+            for old, new in zip(kept, spans):  # in place, frame by frame: no second copy of the points
+                p[new], ov[new] = p[old], ov[old]
+            p, ov, rows = p[: spans[-1].stop], ov[: spans[-1].stop], rows[running[rows]]
         iterations[rows] += 1
         # A frame the solver cannot advance takes no step this round, so its
         # μ grows as after a rejected step. That holds for a zero diagonal
@@ -164,8 +180,9 @@ def _lm_chunk(p, ov, wt, k: Intrinsics, x, coarse: float) -> list:
         # on the units of the translation. That matrix is positive definite
         # in exact arithmetic, but rounding can still make it singular when
         # the entries span many orders of magnitude. slogdet's sign, unlike
-        # det, cannot underflow to zero.
-        h_r, g_r = h[rows], g[rows]
+        # det, cannot underflow to zero. Such a frame is evaluated where it
+        # stands, which changes no other frame's bits, and is not updated.
+        h_r, g_r, f_r = h[rows], g[rows], f[rows]
         dg = h_r[:, diag, diag]
         ok = (dg > 0.0).all(axis=1)
         d = np.sqrt(np.where(ok[:, None], dg, 1.0))
@@ -175,22 +192,17 @@ def _lm_chunk(p, ov, wt, k: Intrinsics, x, coarse: float) -> list:
         c[~ok] = np.eye(6)
         step = np.linalg.solve(c, -(g_r / d)[..., None])[..., 0] / d
         ok &= np.isfinite(step).all(axis=1)
-        accepted = np.zeros(nf, dtype=bool)
-        if ok.any():
-            sub = slice(None) if ok.all() else ok
-            tried, x_new = rows[sub], x[rows[sub]] + step[sub]
-            f_new, h_new, g_new, n_new, small = evaluate(p[sub], ov[sub], wt[sub], x_new)
-            won = f_new <= f[tried]
-            change = np.abs(f_new - f[tried])
-            stop[tried] = np.where(
-                change <= n_new * _U * f[tried], "floor", np.where(change <= coarse * f[tried], "coarse", "")
-            )
-            stop[tried[won & small]] = "gradient"
-            accepted[tried[won]] = True
-            x[tried[won]], f[tried[won]], h[tried[won]], g[tried[won]] = (
-                x_new[won], f_new[won], h_new[won], g_new[won]
-            )
-        mu[rows] *= np.where(accepted[rows], 1.0 / _MU_FACTOR, _MU_FACTOR)
+        x_new = x[rows] + np.where(ok[:, None], step, 0.0)
+        f_new, h_new, g_new, n_new, small = evaluate(x_new)
+        f_old, won = f_r[ok], ok & (f_new <= f_r)
+        change = np.abs(f_new[ok] - f_old)
+        stop[rows[ok]] = np.where(
+            change <= n_new[ok] * _U * f_old, "floor", np.where(change <= coarse * f_old, "coarse", "")
+        )
+        stop[rows[won & small]] = "gradient"
+        acc = rows[won]
+        x[acc], f[acc], h[acc], g[acc] = x_new[won], f_new[won], h_new[won], g_new[won]
+        mu[rows] *= np.where(won, 1.0 / _MU_FACTOR, _MU_FACTOR)
         history.append(f.copy())
         running = (stop == "") & (iterations < _MAX_ITERATIONS) & (mu <= _MU_MAX)
     stop[(stop == "") & (iterations >= _MAX_ITERATIONS)] = "max_iterations"
@@ -226,25 +238,23 @@ def fit_rigid_frames(points0, observed, masks, k: Intrinsics, init, *, coarse: f
     iteration and its μ grows: JᵀJ has a zero diagonal entry (as when no
     point lies in front of the camera, a cost of +inf), the damped matrix
     is singular, or the step is not finite. A NaN cost counts as +inf. So
-    no frame raises, and no frame changes the others of its batch. A fit
-    stops unconverged when μ passes 1e16, as with a rank-deficient JᵀJ
-    (stop "mu_limit"), or after 200 iterations (stop "max_iterations").
-    Frames run in chunks of at most BLOCK padded points.
+    no frame raises. A fit stops unconverged when μ passes 1e16, as with a
+    rank-deficient JᵀJ (stop "mu_limit"), or after 200 iterations (stop
+    "max_iterations"). A frame's fit reads only its own selected points, so
+    it gives the same bits in any batch. Chunks of whole frames run in turn,
+    each of at most BLOCK points unless it holds a single frame.
     """
     p0, obs, sel = _validate_inputs(points0, observed, masks)
     x = np.array(init, dtype=float).reshape(len(sel), 6)
-    m = int(sel.sum(axis=1).max(initial=3))
-    per = max(1, BLOCK // m)
-    results = []
-    for c in (slice(lo, lo + per) for lo in range(0, len(x), per)):
-        # Each frame's selected points first, in index order, padded to m
-        # columns with its first selected point at weight 0.
-        order = np.argsort(~sel[c], axis=1, kind="stable")[:, :m]
-        wt = np.arange(m) < sel[c].sum(axis=1, keepdims=True)
-        col = np.where(wt, order, order[:, :1])
-        ov = np.take(obs[c].reshape(-1, 2), col + sel.shape[1] * np.arange(len(col))[:, None], axis=0)
-        p = np.take(p0.T, col, axis=1).transpose(1, 0, 2)
-        results += _lm_chunk(p, ov.transpose(0, 2, 1), wt.astype(float), k, x[c], coarse)
+    counts = sel.sum(axis=1)
+    ends = np.cumsum(counts)
+    results, lo = [], 0
+    while lo < len(x):  # a chunk: whole frames, at most BLOCK points unless it holds one
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + BLOCK, side="right")))
+        at = np.flatnonzero(sel[lo:hi])  # the chunk's selected points, frame by frame, in index order
+        p, ov = np.take(p0, at % len(p0), axis=0), np.take(obs[lo:hi].reshape(-1, 2), at, axis=0)
+        results += _lm_chunk(p, ov, _spans(counts[lo:hi]), k, x[lo:hi], coarse)
+        lo = hi
     return x, results
 
 

@@ -19,7 +19,7 @@ from camsig.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEGMENT_SEED_3_CLIP_0_TCS1 = {
-    "segment_noisy": "bd54706b1efb477c9a708d047b64a82ce7f51a68372ba7ff9f514789067dfb66",
+    "segment_noisy": "e5880c58411d139ffe84727fb9c36d2d76b36256d624c1745095a3e513fd7a87",
     "segment_clean_large": "e60d451a25d8a6ff05d2bb1461a904d4e7ca4a2efe122854bdbb1285593eb82f",
 }
 

@@ -241,6 +241,27 @@ def test_splat_into_a_reused_dirty_buffer_matches_its_own():
             assert np.array_equal(image, ref[0]) and np.array_equal(coverage, ref[1])
 
 
+def test_oversized_work_gives_the_splat_of_an_exact_one():
+    # `synth` splats every frame of a clip in one work tuple, sized for its
+    # largest frame. A smaller cloud then uses the first entries of each
+    # point array, after larger clouds have dirtied them, and must give the
+    # image and coverage of a work tuple of its own size. Each image is a
+    # view of the shared tuple, so it is compared before the next splat.
+    gen = rng(56)
+    k = K32
+    points = unproject(grid_sample_uv(k.height, k.width, k), gen.uniform(1.0, 3.0, k.height * k.width), k)
+    clouds = [points, points[::3] + [0.3, -0.2, 0.0], points[5:12], points[:0], points[1:]]
+    for values in payloads(points):
+        big = splat_work(len(points) + 37, values, k)
+        for cloud in clouds:
+            payload = values[: len(cloud)]
+            image, coverage = splat_zbuffer(cloud, payload, k, buffer=big)
+            want = splat_zbuffer(cloud, payload, k, buffer=splat_work(len(cloud), payload, k))
+            assert np.shares_memory(image, big[-2]) and np.shares_memory(coverage, big[-1])
+            assert np.array_equal(image, want[0]) and np.array_equal(coverage, want[1])
+            assert np.array_equal(big[5], np.arange(len(points) + 37))
+
+
 def test_splat_rejects_a_payload_of_another_length():
     # A one-row payload must not be broadcast to every point.
     points = np.array([[0.0, 0.0, 2.0], [0.5, 0.0, 2.0], [0.0, 0.5, 3.0]])

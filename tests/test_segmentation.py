@@ -171,23 +171,63 @@ def test_underdetermined_names_the_first_short_frame():
     ]
 
 
+def record_chunks(monkeypatch) -> list:
+    """Per fit_rigid_frames call: its points, observations, masks, coarse and solver chunks.
+
+    A chunk is a copy of the (points, observations) the solver received, its
+    frame spans and frame count. Every evaluation must cover exactly the
+    points of its frames' spans.
+    """
+    calls = []
+    fit, solve, evaluate = segmentation.fit_rigid_frames, rigidfit._lm_chunk, rigidfit._normal_equations
+
+    def fitting(points0, observed, masks, k, init, coarse=0.0):
+        calls.append((points0, np.asarray(observed), np.asarray(masks), coarse, []))
+        return fit(points0, observed, masks, k, init, coarse=coarse)
+
+    def solving(p, ov, spans, k, x, coarse):
+        calls[-1][4].append((p.copy(), ov.copy(), spans, len(x)))
+        return solve(p, ov, spans, k, x, coarse)
+
+    def evaluating(p, ov, spans, k, x):
+        assert len(p) == len(ov) == spans[-1].stop == sum(c.stop - c.start for c in spans)
+        assert [c.start for c in spans[1:]] == [c.stop for c in spans[:-1]] and spans[0].start == 0
+        return evaluate(p, ov, spans, k, x)
+
+    monkeypatch.setattr(segmentation, "fit_rigid_frames", fitting)
+    monkeypatch.setattr(rigidfit, "_lm_chunk", solving)
+    monkeypatch.setattr(rigidfit, "_normal_equations", evaluating)
+    return calls
+
+
+def chunk_shapes(calls) -> list:
+    """(coarse, frames per chunk) of every call, after checking that each
+    chunk holds whole frames' selected points, in frame order and nothing
+    else, at most BLOCK of them unless the chunk is a single frame."""
+    shapes = []
+    for points0, observed, masks, coarse, chunks in calls:
+        frame = 0
+        for p, ov, spans, frames in chunks:
+            assert len(spans) == frames and (len(p) <= BLOCK or frames == 1)
+            for span in spans:
+                assert np.array_equal(p[span], points0[masks[frame]])
+                assert np.array_equal(ov[span], observed[frame][masks[frame]])
+                frame += 1
+        assert frame == len(masks)
+        shapes.append((coarse, [frames for *_, frames in chunks]))
+    return shapes
+
+
 def test_one_solver_call_per_chunk_never_per_frame(monkeypatch):
     # Each iteration makes one coarse pass over frames 1..T-1; the last then
     # refits the frames that pass stopped coarsely. Both passes solve whole
-    # chunks of frames.
-    calls = []
-    solve = rigidfit._lm_chunk
-
-    def counting(p, ov, wt, k, x, coarse):
-        calls.append((len(x), p.shape[2], coarse))
-        return solve(p, ov, wt, k, x, coarse)
-
-    monkeypatch.setattr(rigidfit, "_lm_chunk", counting)
+    # frames in chunks, and the solver evaluates exactly the selected points.
+    calls = record_chunks(monkeypatch)
     gt, _ = quad_object_scene(frames=12, noise=0.3)
     result = extract_static(gt.field)
     assert result.iterations_used == 2
     coarse = segmentation._COARSE
-    assert calls == [(11, 1024, coarse), (11, 748, coarse), (11, 748, 0.0)]  # 11 x 1,024 points: one chunk
+    assert chunk_shapes(calls) == [(coarse, [11]), (coarse, [11]), (0.0, [11])]  # 11 x 1,024 points: one chunk
 
     calls.clear()
     spec = SceneSpec(
@@ -198,8 +238,7 @@ def test_one_solver_call_per_chunk_never_per_frame(monkeypatch):
     field = generate_scene(spec, pan_roll_path(13, pan=0.25, roll=0.15)).field
     result = extract_static(field)
     assert result.iterations_used == 2
-    assert [(f, c) for f, _, c in calls] == [(4, coarse)] * 6 + [(4, 0.0), (4, 0.0), (3, 0.0)]
-    assert all(f * m <= BLOCK for f, m, _ in calls)
+    assert chunk_shapes(calls) == [(coarse, [4, 4, 4])] * 2 + [(0.0, [4, 4, 3])]  # 4 frames of at most 4,096 points
 
 
 def test_fits_observe_the_track_pixels(monkeypatch):
@@ -321,8 +360,8 @@ def record_passes(monkeypatch) -> list:
     passes = []
     solve = rigidfit._lm_chunk
 
-    def recording(p, ov, wt, k, x, coarse):
-        fits = solve(p, ov, wt, k, x, coarse)
+    def recording(p, ov, spans, k, x, coarse):
+        fits = solve(p, ov, spans, k, x, coarse)
         passes.append((coarse, fits))
         return fits
 
