@@ -47,9 +47,8 @@ from camsig.segmentation import (
     SegmentationConfig,
     extract_static,
 )
-from camsig.signal import build_inference_signal, control_tensor, motion_strength, normalize_tensor
+from camsig.signal import build_inference_signal, control_tensor, field_strength, normalize_tensor
 from camsig.synth import PixelOverflow, generate_scene, scene_from_dict, scene_to_dict
-from camsig.trajfield import residual_g
 
 
 class UsageError(Exception):
@@ -136,7 +135,7 @@ def cmd_synth(args) -> int:
 
 
 def _assemble(args, k):
-    """The trajectory field of the track and depth files, whose arrays are freed on return."""
+    """The trajectory field of the track and depth files; all but the pixels it takes over are freed."""
     tracks = _load(args.tracks, read_tracks)
     depths = [_load(f, lambda f: check_depth_size(read_depth(f), k)) for f in _depth_files(args.depth_dir)]
     if len(depths) != tracks.num_frames:
@@ -200,7 +199,7 @@ def cmd_signal_from_video(args) -> int:
     if _refuse_degenerate(args, result):
         return 3
     with _blame(args.tracks):
-        strength = motion_strength(residual_g(field, result.motions))
+        strength = field_strength(field, result.motions)
         tensor = control_tensor(
             field.points0, result.motions, field.intrinsics, strength.m, (field.grid_h, field.grid_w)
         )

@@ -358,11 +358,12 @@ def transported(p0, motions):
 
     The points are a view of one buffer pair reused for the whole walk, valid
     until the next step. Every step is elementwise, so blocks change no bit.
+    An empty p0 gives each frame one empty block.
     """
     n = len(p0)
     cols, term = np.empty((3, min(n, BLOCK))), np.empty(min(n, BLOCK))
     for lam, m in enumerate(motions):
-        for s in range(0, n, BLOCK):
+        for s in range(0, max(n, 1), BLOCK):
             w = min(BLOCK, n - s)
             yield lam, slice(s, s + w), apply(m, p0[s : s + w], buffer=(cols[:, :w], term[:w]))
 

@@ -263,10 +263,10 @@ def _bilinear_depth(img: np.ndarray, u: np.ndarray, v: np.ndarray):
     y1 = np.minimum(y0 + 1, h - 1)
     fx = uc - x0
     fy = vc - y0
-    values, holed = 0.0, False
-    for y, wy in ((y0, 1.0 - fy), (y1, fy)):
+    values, holed, flat = 0.0, False, img.ravel()
+    for y, wy in ((y0 * w, 1.0 - fy), (y1 * w, fy)):  # row offsets into the flat image
         for x, wx in ((x0, 1.0 - fx), (x1, fx)):
-            weight, n = wx * wy, img[y, x]
+            weight, n = wx * wy, np.take(flat, y + x)
             values += weight * n
             holed |= (weight > 1e-12) & (n < Z_MIN)
     return values, ~holed & (values >= Z_MIN)
@@ -289,7 +289,8 @@ def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) 
     at its own position (clamped in the half-pixel margin past the outer
     pixel centers); a track outside the footprint, or a hole or non-positive
     sample, marks the entry invisible. Invisible entries carry the last
-    visible pixel and depth.
+    visible pixel and depth. Assembly consumes the tracks: the field takes
+    over tracks.uv as its pixels and holds them in place.
     """
     t, n = tracks.num_frames, tracks.num_points
     if len(depths) != t:
@@ -303,7 +304,6 @@ def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) 
     if np.max(np.abs(tracks.uv[0] - expected)) > 0.5:
         raise ValueError("frame-0 tracks not on the sample grid")
 
-    pixels = tracks.uv.copy()
     depth = np.empty((t, n))  # every entry is sampled or held
     visibility = np.zeros((t, n), dtype=bool)
     for lam in range(t):
@@ -315,6 +315,7 @@ def assemble_field(depths: Sequence[np.ndarray], tracks: Tracks, k: Intrinsics) 
         if lam == 0 and not vis.all():
             raise ValueError("frame-0 track has no valid depth")
         depth[lam][vis] = sample[ok]
-    hold_last_valid(pixels, visibility[..., None])
-    hold_last_valid(depth, visibility)
-    return TrajectoryField(pixels, depth, visibility, gh, gw, k)
+        window = slice(max(lam - 1, 0), lam + 1)  # frame lam holds from frame lam - 1, once sampled
+        hold_last_valid(tracks.uv[window], visibility[window, :, None])
+        hold_last_valid(depth[window], visibility[window])
+    return TrajectoryField(tracks.uv, depth, visibility, gh, gw, k)

@@ -17,7 +17,7 @@ import numpy as np
 from camsig.campath import CameraPath
 from camsig.geometry import FLOAT32_MAX, Intrinsics, RigidMotion, in_image, pinhole, transported, unproject
 from camsig.geometry import check_first_depth
-from camsig.trajfield import ResidualField, TrajectoryField, grid_sample_uv
+from camsig.trajfield import ResidualField, TrajectoryField, grid_sample_uv, residual_frames
 
 
 @dataclass(eq=False)
@@ -69,15 +69,15 @@ class ControlTensor:
 
 
 def _transport_channels(p0, motions, k: Intrinsics, out: np.ndarray) -> np.ndarray:
-    """Project rigid transports of p0 into out (T, 2, N); return the (T, N) validity.
+    """Project rigid transports of p0 into out (T, 2, N); return the last frame's (N,) validity.
 
     An invalid entry holds the previous frame's value before the float64
     frame is cast to out's dtype, so no out-of-image value is ever cast.
     """
-    valid = np.empty((len(motions), p0.shape[0]), dtype=bool)
+    valid = np.empty(p0.shape[0], dtype=bool)  # each frame overwrites the last
     for lam, b, q in transported(p0, motions):
         uv, front = pinhole(q, k)
-        valid[lam, b] = ok = front & in_image(uv, k)
+        valid[b] = ok = front & in_image(uv, k)
         frame = uv.T
         if lam:
             np.copyto(frame, out[lam - 1, :, b], where=~ok)
@@ -108,26 +108,36 @@ def control_tensor(p0, motions: Sequence[RigidMotion], k: Intrinsics, m, grid) -
     data = np.empty((len(motions), 3, p0.shape[0]), dtype=np.float32)
     valid = _transport_channels(p0, motions, k, data[:, :2])
     data[:, 2] = m[:, None]
-    return ControlTensor(data.reshape(-1, 3, *grid), valid[-1].reshape(grid))
+    return ControlTensor(data.reshape(-1, 3, *grid), valid.reshape(grid))
+
+
+def _strength(frames, valid) -> MotionStrengthSeries:
+    """Mean residual speed of the residual frames (lam, g[lam]), yielded in frame order.
+
+    Frame 0 is zero by definition; each later frame averages the residual
+    step length over points valid at both the frame and its predecessor;
+    each step overwrites the predecessor's array.
+    """
+    m, no_overlap = np.zeros(len(valid)), np.zeros(len(valid), dtype=bool)
+    for lam, g in frames:
+        both = valid[lam] & valid[lam - 1]  # frame 0 has no predecessor: unread
+        no_overlap[lam] = lam > 0 and not both.any()
+        if lam > 0 and not no_overlap[lam]:  # np.linalg.norm's operations, rows gathered after the sum
+            step = np.subtract(g, prev, out=prev)
+            m[lam] = float(np.sqrt(np.add.reduce(np.multiply(step, step, out=step), axis=1)[both]).mean())
+        prev = g
+    return MotionStrengthSeries(m, no_overlap)
 
 
 def motion_strength(g: ResidualField) -> MotionStrengthSeries:
-    """Mean residual speed per frame: adjacent-frame residual differences.
+    """Mean residual speed per frame: adjacent-frame residual differences, g left unchanged."""
+    return _strength(((lam, frame.copy()) for lam, frame in enumerate(g.g)), g.valid)
 
-    Frame 0 is zero by definition; each later frame averages the residual
-    step length over points valid at both the frame and its predecessor.
-    """
-    t = g.num_frames
-    m = np.zeros(t)
-    no_overlap = np.zeros(t, dtype=bool)
-    for lam in range(1, t):
-        both = g.valid[lam] & g.valid[lam - 1]
-        if not both.any():
-            no_overlap[lam] = True
-            continue
-        step = g.g[lam][both] - g.g[lam - 1][both]
-        m[lam] = float(np.linalg.norm(step, axis=1).mean())
-    return MotionStrengthSeries(m, no_overlap)
+
+def field_strength(field: TrajectoryField, motions: Sequence[RigidMotion]) -> MotionStrengthSeries:
+    """motion_strength(residual_g(field, motions)), holding two residual frames at a time."""
+    pair = np.empty((2, field.num_points, 3))
+    return _strength(residual_frames(field, motions, lambda lam: pair[lam % 2]), field.visibility)
 
 
 # point_trajectory and pack_tensor are kept only for perfbench: its segment

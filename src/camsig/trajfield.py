@@ -135,21 +135,24 @@ class ResidualField:
         if self.g[0].any():
             raise ValueError("frame-0 residual must be exactly zero")
 
-    @property
-    def num_frames(self) -> int:
-        return self.g.shape[0]
 
-
-def residual_g(field: TrajectoryField, motions: Sequence[RigidMotion]) -> ResidualField:
-    """Residual of the field against rigid transports of its frame-0 points.
+def residual_frames(field: TrajectoryField, motions: Sequence[RigidMotion], out):
+    """Yield (lam, out(lam)) in frame order, once the (N, 3) array out(lam) holds frame lam's residual.
 
     g[lam][i] = p[lam][i] - (R_lam @ p[0][i] + t_lam), with p the lifted
-    positions; entries invisible at a frame are computed but flagged invalid.
+    positions, invisible entries included, in one walk of transported.
     """
     if len(CameraPath(motions)) != field.num_frames:
         raise ValueError("frame count mismatch")
-    g = np.empty((field.num_frames, field.num_points, 3))
     for lam, b, q in transported(field.points0, motions):
-        np.subtract(field.lift(lam, b), q, out=g[lam, b])
-    g[0] = 0.0  # guaranteed by the identity check; pinned against rounding
+        out(lam)[b] = field.lift(lam, b) - q if lam else 0.0  # frame 0 is exactly zero by the identity check
+        if b.stop == field.num_points:
+            yield lam, out(lam)
+
+
+def residual_g(field: TrajectoryField, motions: Sequence[RigidMotion]) -> ResidualField:
+    """The residual_frames of the field, filled into one (T, N, 3) array, with its visibility."""
+    g = np.empty((field.num_frames, field.num_points, 3))
+    for _ in residual_frames(field, motions, g.__getitem__):
+        pass
     return ResidualField(g, field.visibility.copy())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from camsig.campath import PrimitiveSpec, generate_primitive
-from camsig.geometry import BLOCK, Intrinsics, project, unproject
+from camsig.geometry import BLOCK, Intrinsics, in_image, project, unproject
 from camsig.io import (
     FormatError,
     Tracks,
@@ -349,6 +349,27 @@ class TestAssembleField:
             if lam:
                 assert np.array_equal(field.pixels[lam][~v], field.pixels[lam - 1][~v])
                 assert np.array_equal(field.depth[lam][~v], field.depth[lam - 1][~v])
+
+    def test_field_takes_over_the_track_pixels(self):
+        # Assembly consumes its tracks: the field's pixels are tracks.uv, held
+        # in place, and the field is the one assembled from a copy of them.
+        k, depths, tracks = several_block_clip()
+        uv, visible = tracks.uv.copy(), tracks.visible.copy()
+        want = assemble_field(depths, Tracks(uv.copy(), visible.copy()), k)
+        field = assemble_field(depths, tracks, k)
+        assert np.shares_memory(field.pixels, tracks.uv) and field.pixels is tracks.uv
+        assert np.array_equal(field.pixels, want.pixels)
+        assert np.array_equal(field.depth, want.depth)
+        assert np.array_equal(field.visibility, want.visibility)
+        # Tracks flagged visible but off-image, or on a depth hole, are held too.
+        vis = field.visibility
+        off_image = visible & ~in_image(uv, k)
+        on_hole = visible & in_image(uv, k) & ~vis
+        assert off_image[1:].any() and on_hole[1:].any() and (~visible[1:]).any()
+        assert np.array_equal(tracks.uv[vis], uv[vis])
+        for lam in range(1, field.num_frames):
+            assert np.array_equal(tracks.uv[lam][~vis[lam]], tracks.uv[lam - 1][~vis[lam]])
+        assert not np.array_equal(tracks.uv[off_image | on_hole], uv[off_image | on_hole])
 
     def test_lifted_frames_equal_the_lift_then_hold_assembly(self):
         # The reference is the assembly that stored positions: unproject

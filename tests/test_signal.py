@@ -20,11 +20,13 @@ from util import K32, identity_motions, pan_roll_path, rng, smooth_motions, tran
 
 def field_tensor(field, motions, m=None):
     """control_tensor of the field's frame-0 grid (zero strength by default) and
-    its (T, H, W) per-frame validity, as `_transport_channels` returns it."""
+    its (T, H, W) per-frame validity: frame lam's is the last-frame validity
+    that `_transport_channels` returns for the path's first lam + 1 frames."""
     p0, k, grid = field.positions[0], field.intrinsics, (field.grid_h, field.grid_w)
     m = np.zeros(len(motions)) if m is None else m
     ct = control_tensor(p0, motions, k, m, grid)
-    valid = _transport_channels(p0, motions, k, np.empty((len(motions), 2, p0.shape[0]), np.float32))
+    out = np.empty((len(motions), 2, p0.shape[0]), np.float32)
+    valid = np.stack([_transport_channels(p0, motions[: lam + 1], k, out) for lam in range(len(motions))])
     assert np.array_equal(ct.last_frame_valid, valid[-1].reshape(grid))
     return ct, valid.reshape(-1, *grid)
 

@@ -7,8 +7,10 @@ arithmetic that the recorded output files were made with. The reference
 implementations below are that arithmetic, kept as the oracle.
 """
 
+import dataclasses
 import importlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,8 @@ import camsig
 from camsig.campath import CameraPath
 from camsig.geometry import BLOCK, RigidMotion, Z_MIN, apply, so3_exp, unproject
 from camsig.segmentation import _per_point_errors
-from camsig.signal import _transport_channels, build_inference_signal
-from camsig.trajfield import grid_sample_uv, residual_g
+from camsig.signal import _transport_channels, build_inference_signal, field_strength, motion_strength
+from camsig.trajfield import TrajectoryField, grid_sample_uv, residual_g
 from util import K32, field_at, grid_points, random_points, rng, smooth_motions
 
 
@@ -113,12 +115,15 @@ def test_transport_channels_match_batched_reference():
     p0 = field.positions[0]
     want_channels, want_valid = reference_transport_channels(p0, motions, K32, K32.height, K32.width)
     channels = np.empty((len(motions), 2, p0.shape[0]))
-    valid = _transport_channels(p0, motions, K32, channels)
+    _transport_channels(p0, motions, K32, channels)
     # The data must exercise both hold causes: off-image and behind camera.
     assert not want_valid[-1].all() and not want_valid[1:-1].all()
     assert (reference_transport(p0, motions)[-1, :, 2] < Z_MIN).any()
     assert np.array_equal(channels.reshape(want_channels.shape), want_channels)
-    assert np.array_equal(valid.reshape(want_valid.shape), want_valid)
+    # Only the last frame's validity is returned; a shorter path gives each earlier frame's.
+    for lam in range(len(motions)):
+        valid = _transport_channels(p0, motions[: lam + 1], K32, channels)
+        assert np.array_equal(valid.reshape(want_valid.shape[1:]), want_valid[lam])
 
 
 def test_transport_channels_hold_across_block_edges():
@@ -142,7 +147,9 @@ def test_transport_channels_hold_across_block_edges():
         channels = np.empty((len(motions), 2, n), dtype=dtype)
         valid = _transport_channels(p0, motions, K32, channels)
         assert np.array_equal(channels, want_channels[:, :, 0].astype(dtype))
-        assert np.array_equal(valid, want_valid)
+        assert np.array_equal(valid, want_valid[-1])
+        for lam in range(len(motions)):
+            assert np.array_equal(_transport_channels(p0, motions[: lam + 1], K32, channels), want_valid[lam])
 
 
 def test_inference_signal_is_reference_channels_cast_to_float32():
@@ -202,6 +209,68 @@ def test_residual_g_matches_batched_reference():
 
 def test_residual_g_matches_batched_reference_across_blocks():
     check_residual_g(noisy_field(seed=2, p0=several_blocks(80)))
+
+
+def reference_motion_strength(res):
+    """The per-frame norm of the gathered steps that the recorded strength files were made with."""
+    t = len(res.g)
+    m, no_overlap = np.zeros(t), np.zeros(t, dtype=bool)
+    for lam in range(1, t):
+        both = res.valid[lam] & res.valid[lam - 1]
+        no_overlap[lam] = not both.any()
+        if both.any():
+            m[lam] = float(np.linalg.norm(res.g[lam][both] - res.g[lam - 1][both], axis=1).mean())
+    return m, no_overlap
+
+
+def check_field_strength(field):
+    """field_strength and motion_strength of residual_g against the reference, bit for bit."""
+    motions = leaving_motions()
+    res = residual_g(field, motions)
+    g = res.g.copy()
+    want_m, want_no_overlap = reference_motion_strength(res)
+    for got in (field_strength(field, motions), motion_strength(res)):
+        assert np.array_equal(got.m, want_m) and np.array_equal(got.no_overlap, want_no_overlap)
+    assert np.array_equal(res.g, g)  # motion_strength leaves its input unchanged
+    return got
+
+
+def without_frame(field, lam):
+    """The field with no point visible at frame lam, so frames lam and lam + 1 have no overlap."""
+    vis = field.visibility.copy()
+    vis[lam] = False
+    return dataclasses.replace(field, visibility=vis)
+
+
+def test_field_strength_is_motion_strength_of_the_residual():
+    series = check_field_strength(without_frame(noisy_field(seed=3), 2))
+    assert list(series.no_overlap) == [False, False, True, True, False, False]
+    assert series.m[1] > 0.0 and series.m[4] > 0.0 and series.m[2] == series.m[3] == 0.0
+
+
+def test_field_strength_is_motion_strength_of_the_residual_across_blocks():
+    series = check_field_strength(without_frame(noisy_field(seed=3, p0=several_blocks(81)), 4))
+    assert list(series.no_overlap) == [False, False, False, False, True, True]
+
+
+def test_field_strength_of_an_empty_grid_flags_every_frame():
+    t = len(leaving_motions())
+    field = TrajectoryField(np.empty((t, 0, 2)), np.empty((t, 0)), np.ones((t, 0), dtype=bool), 0, 4, K32)
+    assert list(check_field_strength(field).no_overlap) == [False] + [True] * (t - 1)
+
+
+def test_field_strength_holds_at_most_four_residual_frames():
+    # residual_g holds all T = 6 frames; the frame-by-frame strength holds
+    # two, plus the temporaries of one frame's step and of one block.
+    field = noisy_field(seed=4, p0=random_points(rng(82), 6 * BLOCK + 37, z_range=(1.5, 2.5), spread=0.7))
+    motions = leaving_motions()
+    tracemalloc.start()
+    try:
+        field_strength(field, motions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * field.num_points * 3 * 8
 
 
 def test_only_geometry_preview_and_synth_bind_apply():
