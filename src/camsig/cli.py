@@ -25,8 +25,7 @@ from camsig.campath import (
     motion_to_dict,
     save_path,
 )
-from camsig.geometry import FLOAT32_MAX, Intrinsics, check_depth_size, check_first_depth, in_image
-from camsig.geometry import read_json, write_json
+from camsig.geometry import FLOAT32_MAX, Intrinsics, check_depth_size, check_first_depth, in_image, read_json, write_json
 from camsig.io import (
     Tracks,
     assemble_field,
@@ -78,6 +77,11 @@ def _load(file, reader):
         return reader(file)
 
 
+def _save(file, writer, *data):
+    with _blame(file):
+        writer(file, *data)
+
+
 def _read_intrinsics(file) -> Intrinsics:
     return Intrinsics.from_dict(read_json(file))
 
@@ -92,7 +96,7 @@ def _write_json(path, payload: dict):
             return [sanitize(val) for val in obj]
         return obj
 
-    write_json(path, {"toolkit_version": __version__, **sanitize(payload)})
+    _save(path, write_json, {"toolkit_version": __version__, **sanitize(payload)})
 
 
 def _depth_files(depth_dir) -> list:
@@ -125,12 +129,12 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for lam, depth_img in enumerate(depth_imgs):
-        write_depth(out / f"depth_{lam:04d}.tcd", depth_img)
-    write_tracks(out / "tracks.tct", Tracks(field.pixels, field.visibility & in_image(field.pixels, k)))
-    save_path(path, out / "path.json")
-    write_pgm(out / "partition.pgm", np.multiply(gt.partition.static_mask, 255, dtype=np.uint8))
-    write_ppm(out / "rgb0.ppm", gt.rgb0)
-    write_json(out / "scene.json", scene_to_dict(spec))
+        _save(out / f"depth_{lam:04d}.tcd", write_depth, depth_img)
+    _save(out / "tracks.tct", write_tracks, Tracks(field.pixels, field.visibility & in_image(field.pixels, k)))
+    _save(out / "path.json", lambda file: save_path(path, file))
+    _save(out / "partition.pgm", write_pgm, np.multiply(gt.partition.static_mask, 255, dtype=np.uint8))
+    _save(out / "rgb0.ppm", write_ppm, gt.rgb0)
+    _save(out / "scene.json", write_json, scene_to_dict(spec))
     return 0
 
 
@@ -177,8 +181,8 @@ def cmd_segment(args) -> int:
     _, result = _extract(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_pgm(out / "mask.pgm", np.multiply(result.partition.static_mask, 255, dtype=np.uint8))
-    save_path(CameraPath(result.motions), out / "motions.json")
+    _save(out / "mask.pgm", write_pgm, np.multiply(result.partition.static_mask, 255, dtype=np.uint8))
+    _save(out / "motions.json", lambda file: save_path(CameraPath(result.motions), file))
     _write_json(
         out / "report.json",
         {
@@ -203,7 +207,7 @@ def cmd_signal_from_video(args) -> int:
         tensor = control_tensor(
             field.points0, result.motions, field.intrinsics, strength.m, (field.grid_h, field.grid_w)
         )
-    write_tensor(args.out, tensor)
+    _save(args.out, write_tensor, tensor)
     _write_json(
         Path(args.out).with_suffix(".m.json"),
         {
@@ -230,13 +234,13 @@ def cmd_signal_from_path(args) -> int:
     if args.normalized:
         with _blame(args.intrinsics):
             tensor = normalize_tensor(tensor, k)
-    write_tensor(args.out, tensor)
+    _save(args.out, write_tensor, tensor)
     return 0
 
 
 def cmd_path(args) -> int:
-    spec = PrimitiveSpec(kind=args.primitive, magnitude=args.magnitude, frames=args.frames)
-    save_path(generate_primitive(spec), args.out)
+    path = generate_primitive(PrimitiveSpec(kind=args.primitive, magnitude=args.magnitude, frames=args.frames))
+    _save(args.out, lambda file: save_path(path, file))
     return 0
 
 
@@ -250,8 +254,8 @@ def cmd_preview(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for lam in range(len(path)):
-        write_ppm(out / f"preview_{lam:04d}.ppm", rendered.frames[lam])
-        write_pgm(out / f"coverage_{lam:04d}.pgm", np.multiply(rendered.coverage[lam], 255, dtype=np.uint8))
+        _save(out / f"preview_{lam:04d}.ppm", write_ppm, rendered.frames[lam])
+        _save(out / f"coverage_{lam:04d}.pgm", write_pgm, np.multiply(rendered.coverage[lam], 255, dtype=np.uint8))
     return 0
 
 
@@ -368,9 +372,6 @@ def main(argv=None) -> int:
     args.resolved_threads = args.threads or os.cpu_count() or 1
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,8 +46,8 @@ class TrajectoryField:
 
     Entries run frame-major, then row-major over the first-frame grid. Frame
     0 is fully visible; an invisible entry holds its last visible pixel and
-    depth. points0 lifts frame 0 to camera space once; `lift` lifts any
-    frame or block of points on request.
+    depth. Each frame's pixels and depths, held ones too, must be finite with
+    depths >= Z_MIN. points0 lifts frame 0 once; `lift` lifts any frame or block.
     """
 
     pixels: np.ndarray
@@ -72,11 +72,10 @@ class TrajectoryField:
             raise ValueError("depth or visibility shape does not match pixels")
         if not self.visibility[0].all():
             raise ValueError("all frame-0 points must be visible")
-        frames = list(zip(self.pixels, self.depth, self.visibility))  # one frame's visible copy at a time
-        if not all(np.isfinite(uv[v]).all() and np.isfinite(d[v]).all() for uv, d, v in frames):
-            raise ValueError("non-finite visible pixel or depth")
-        if any((d[v] < Z_MIN).any() for _, d, v in frames):
-            raise ValueError("visible depth at or behind camera")
+        if not all(np.isfinite(uv).all() and np.isfinite(d).all() for uv, d in zip(self.pixels, self.depth)):
+            raise ValueError("non-finite pixel or depth")
+        if any((d < Z_MIN).any() for d in self.depth):  # one frame at a time: no field-sized mask
+            raise ValueError("depth at or behind camera")
         self.points0 = self.lift(0)
 
     def lift(self, lam: int, block=slice(None)) -> np.ndarray:

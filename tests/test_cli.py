@@ -885,6 +885,50 @@ def test_data_error_blames_its_file(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def write_argv(tmp_path, data, k_file):
+    """Each command's arguments but --out, after a synth run in data."""
+    video = ["--tracks", str(data / "tracks.tct"), "--depth-dir", str(data), "--intrinsics", str(k_file)]
+    return {
+        "path": ["path", "--primitive", "pan_left", "--magnitude", "0.2", "--frames", "3"],
+        "signal-from-path": inference_argv(data, k_file),
+        "eval": ["eval", "--gt", str(data / "path.json"), "--est", str(data / "path.json")],
+        "signal-from-video": ["signal-from-video", *video],
+        "segment": ["segment", *video],
+        "synth": ["synth", "--scene", str(tmp_path / "scene.json"), "--path", str(tmp_path / "path.json")],
+        "preview": preview_argv(data, k_file),
+    }
+
+
+@pytest.mark.parametrize(
+    "command, out, taken",
+    [
+        ("path", "/dev/full", None),
+        ("signal-from-path", "/dev/full", None),
+        ("eval", "/dev/full", None),
+        ("signal-from-video", "/dev/full", None),
+        ("signal-from-video", "t.tcs", "t.m.json"),
+        ("synth", "out", "out/scene.json"),
+        ("segment", "out", "out/report.json"),
+        ("preview", "out", "out/coverage_0004.pgm"),
+    ],
+    ids=["path", "signal-from-path", "eval", "signal-from-video", "signal-from-video-m-json", "synth", "segment",
+         "preview"],
+)
+def test_failed_write_names_its_file(tmp_path, capsys, command, out, taken):
+    # A write that fails, on a full device or on a name a directory already
+    # holds, is a data error that names the file it could not write.
+    data = run_synth(tmp_path, objects=[{"center": [15.5, 15.5], "radius": 5.0, "velocity": [0.0, 0.05, 0.0]}])
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    blamed = tmp_path / (taken or out)  # /dev/full stays absolute
+    if taken:
+        blamed.mkdir(parents=True)
+    assert main(write_argv(tmp_path, data, k_file)[command] + ["--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {blamed}: ")
+    assert "Traceback" not in err
+
+
 def test_normalized_signal_bytes(tmp_path):
     # signal-from-path --normalized writes 2·u / (W - 1) - 1, and likewise
     # for v, computed in float32 from the float32 pixel-coordinate tensor.

@@ -1,12 +1,13 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from camsig.geometry import RigidMotion, so3_exp, unproject
+from camsig.geometry import RigidMotion, Z_MIN, so3_exp, unproject
 from camsig.signal import control_tensor
-from camsig.trajfield import grid_sample_uv, residual_g
-from util import K32, field_at, identity_motions, rng, smooth_motions, transported_field
+from camsig.trajfield import TrajectoryField, grid_sample_uv, residual_g
+from util import K32, K64, field_at, identity_motions, rng, smooth_motions, transported_field
 
 
 def test_static_field_has_zero_residual():
@@ -110,25 +111,56 @@ def test_field_validation():
         replace(field, depth=field.depth[:, :-1])
 
 
-def test_field_checks_visible_positions_across_all_frames():
-    # Frames are checked one at a time, but a non-finite visible pixel or
-    # depth in any frame is named before a visible depth behind the camera
-    # in an earlier one; invisible entries are not checked.
+def test_field_checks_every_stored_entry_across_all_frames():
+    # Frames are checked one at a time, but a non-finite pixel or depth in
+    # any frame is named before a depth behind the camera in an earlier one.
     field = transported_field(K32, identity_motions(4), gen=rng(9))
-    uv, depth, vis = field.pixels.copy(), field.depth.copy(), field.visibility.copy()
+    uv, depth = field.pixels.copy(), field.depth.copy()
     depth[1, 5] = -1.0
     uv[3, 7, 1] = np.inf
-    with pytest.raises(ValueError, match="non-finite visible pixel or depth"):
+    with pytest.raises(ValueError, match="non-finite pixel or depth"):
         replace(field, pixels=uv, depth=depth)
     uv[3, 7, 1] = 4.0
     depth[3, 7] = np.nan
-    with pytest.raises(ValueError, match="non-finite visible pixel or depth"):
+    with pytest.raises(ValueError, match="non-finite pixel or depth"):
         replace(field, pixels=uv, depth=depth)
-    vis[3, 7] = False
-    with pytest.raises(ValueError, match="visible depth at or behind camera"):
-        replace(field, pixels=uv, depth=depth, visibility=vis)
-    vis[1, 5] = False
-    replace(field, pixels=uv, depth=depth, visibility=vis)
+    depth[3, 7] = 2.0
+    with pytest.raises(ValueError, match="depth at or behind camera"):
+        replace(field, pixels=uv, depth=depth)
+    depth[1, 5] = Z_MIN
+    replace(field, pixels=uv, depth=depth)
+
+
+@pytest.mark.parametrize(
+    "array, value", [("depth", -1.0), ("depth", np.nan), ("pixels", np.inf)], ids=["behind", "nan-depth", "inf-pixel"]
+)
+def test_field_refuses_a_held_entry_it_could_not_lift(array, value):
+    # residual_frames, positions and field_strength lift every entry, held
+    # ones included, so a held entry is checked like a visible one.
+    field = transported_field(K32, identity_motions(4), gen=rng(12))
+    vis = field.visibility.copy()
+    vis[2:, 9] = False
+    held = {"pixels": field.pixels.copy(), "depth": field.depth.copy()}
+    replace(field, visibility=vis, **held)
+    held[array][3, 9] = value
+    with pytest.raises(ValueError, match="non-finite pixel or depth|depth at or behind camera"):
+        replace(field, visibility=vis, **held)
+
+
+def test_field_checks_use_no_field_sized_temporary():
+    # 64 frames of a 64 x 64 grid: a whole-field mask of the pixels alone
+    # would take 2·64 = 128 bytes per grid point; the field keeps points0,
+    # 24 bytes per grid point.
+    t, n = 64, K64.height * K64.width
+    pixels = np.broadcast_to(grid_sample_uv(K64.height, K64.width, K64), (t, n, 2)).copy()
+    depth, visibility = np.full((t, n), 2.0), np.ones((t, n), dtype=bool)
+    tracemalloc.start()
+    try:
+        TrajectoryField(pixels, depth, visibility, K64.height, K64.width, K64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n
 
 
 def test_lifted_frames_unproject_the_held_pixels_and_depths():
