@@ -34,6 +34,11 @@ _MIN_STATIC_FRACTION = 0.10
 # Relative cost change at which an iteration's fits stop before the loop's
 # last iteration is known; fit_rigid_frames reports such stops as "coarse".
 _COARSE = 1e-6
+# Iteration 1, and each iteration whose predecessor's eps_max exceeds
+# _THIN_GUARD·ε, fits a frame of more than _THIN_CAP static visible points on
+# every ⌈n/_THIN_CAP⌉-th of them in index order; such a fit counts as coarse.
+_THIN_CAP = 2048
+_THIN_GUARD = 100.0
 
 
 @dataclass
@@ -52,7 +57,7 @@ class SegmentationConfig:
         if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not (self.max_iterations % 1 == 0 and self.max_iterations >= 1):
             raise ValueError(f"max_iterations must be a positive integer, got {self.max_iterations}")
         self.max_iterations = int(self.max_iterations)
@@ -100,10 +105,14 @@ def extract_static(field: TrajectoryField, config: SegmentationConfig | None = N
     """Split the grid into static and dynamic points with per-frame rigid fits.
 
     Each iteration fits coarsely, to a relative cost change of 1e-6, and
-    re-thresholds on that fit. An iteration that would end the loop first
-    refits its coarsely stopped frames at full precision (see
-    fit_rigid_frames) and decides again, so the returned motions and
-    per-point errors always come from full-precision fits.
+    re-thresholds on that fit. Iteration 1, and each iteration whose
+    predecessor's eps_max exceeds 100·ε, also thins: a frame whose static
+    and visible set has more than 2,048 points fits only every
+    ⌈n/2,048⌉-th of them in index order, while errors and thresholds still
+    use every point. An iteration that would end the loop first refits its
+    coarsely stopped and thinned frames on all their points at full
+    precision (see fit_rigid_frames) and decides again, so the returned
+    motions and per-point errors always come from full-precision fits.
     """
     cfg = config or SegmentationConfig()
     t = field.num_frames
@@ -152,8 +161,14 @@ def extract_static(field: TrajectoryField, config: SegmentationConfig | None = N
         # parameters of the previous iteration (zero at the first).
         iterations_used += 1
         sel = static & vis[1:]
-        params, fits = fit_rigid_frames(p0, obs, sel, k, params, coarse=_COARSE)
-        redo = [i for i, result in enumerate(fits) if result.stop not in ("gradient", "floor")]
+        counts = sel.sum(axis=1)
+        thin = (counts > _THIN_CAP) & (not eps_max_trace or eps_max_trace[-1] > _THIN_GUARD * eps)
+        fit_sel = sel.copy() if thin.any() else sel
+        for i in np.flatnonzero(thin):
+            fit_sel[i] = False
+            fit_sel[i, np.flatnonzero(sel[i])[:: -(-counts[i] // _THIN_CAP)]] = True
+        params, fits = fit_rigid_frames(p0, obs, fit_sel, k, params, coarse=_COARSE)
+        redo = [i for i, result in enumerate(fits) if thin[i] or result.stop not in ("gradient", "floor")]
         while True:
             motions = [RigidMotion.identity()] + [result.motion for result in fits]
             err = _per_point_errors(field, motions, vis_count)

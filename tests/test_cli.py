@@ -294,6 +294,25 @@ def test_non_finite_epsilon_is_data_error(tmp_path, capsys, command, epsilon):
     assert not target.with_suffix(".m.json").exists()
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "nan"])
+def test_alpha_outside_the_unit_interval_is_data_error(tmp_path, capsys, alpha):
+    out = run_synth(tmp_path)
+    k_file = tmp_path / "k.json"
+    write_intrinsics(k_file)
+    target = tmp_path / "result"
+    code = main([
+        "segment",
+        "--tracks", str(out / "tracks.tct"),
+        "--depth-dir", str(out),
+        "--intrinsics", str(k_file),
+        "--alpha", alpha,
+        "--out", str(target),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: alpha must lie in (0, 1), got {alpha}\n"
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("magnitude", ["nan", "inf", "-0.5"])
 def test_bad_magnitude_is_data_error(tmp_path, capsys, magnitude):
     out = tmp_path / "p.json"

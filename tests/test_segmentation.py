@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -218,6 +219,33 @@ def chunk_shapes(calls) -> list:
     return shapes
 
 
+def one_disc_64():
+    """13 frames of a 64×64 grid with one moving disc: 2 iterations, eps_max 1,674 then 5.7."""
+    spec = SceneSpec(
+        frames=13, grid_h=64, grid_w=64, intrinsics=K64, z_near=1.8, z_far=2.2,
+        depth_jitter=0.2, track_noise=0.3, seed=5,
+        objects=[DynamicObject(center=(16.0, 16.0), radius=9.0, velocity=(0.05, 0.0, 0.0))],
+    )
+    return generate_scene(spec, pan_roll_path(13, pan=0.25, roll=0.15)).field
+
+
+def static_64(frames, seed=31):
+    gen = rng(seed)
+    return transported_field(K64, smooth_motions(frames, gen), jitter=0.2, gen=gen)
+
+
+def lattice(sel):
+    """Thinned fit masks by definition: a row of n > 2,048 selected points
+    keeps every ⌈n/2,048⌉-th of them in index order, starting at the first."""
+    thinned = sel.copy()
+    for row, keep in zip(sel, thinned):
+        at = np.flatnonzero(row)
+        if len(at) > 2048:
+            keep[:] = False
+            keep[at[:: math.ceil(len(at) / 2048)]] = True
+    return thinned
+
+
 def test_one_solver_call_per_chunk_never_per_frame(monkeypatch):
     # Each iteration makes one coarse pass over frames 1..T-1; the last then
     # refits the frames that pass stopped coarsely. Both passes solve whole
@@ -230,15 +258,11 @@ def test_one_solver_call_per_chunk_never_per_frame(monkeypatch):
     assert chunk_shapes(calls) == [(coarse, [11]), (coarse, [11]), (0.0, [11])]  # 11 x 1,024 points: one chunk
 
     calls.clear()
-    spec = SceneSpec(
-        frames=13, grid_h=64, grid_w=64, intrinsics=K64, z_near=1.8, z_far=2.2,
-        depth_jitter=0.2, track_noise=0.3, seed=5,
-        objects=[DynamicObject(center=(16.0, 16.0), radius=9.0, velocity=(0.05, 0.0, 0.0))],
-    )
-    field = generate_scene(spec, pan_roll_path(13, pan=0.25, roll=0.15)).field
-    result = extract_static(field)
+    result = extract_static(one_disc_64())
     assert result.iterations_used == 2
-    assert chunk_shapes(calls) == [(coarse, [4, 4, 4])] * 2 + [(0.0, [4, 4, 3])]  # 4 frames of at most 4,096 points
+    # Iteration 1 thins each 4,096-point frame to 2,048, so 8 frames fill a chunk;
+    # iteration 2 (eps_max 1,674 <= 100·ε) and the refit pack 4 frames of 3,843.
+    assert chunk_shapes(calls) == [(coarse, [8, 4]), (coarse, [4, 4, 4]), (0.0, [4, 4, 3])]
 
 
 def test_fits_observe_the_track_pixels(monkeypatch):
@@ -265,6 +289,87 @@ def test_fits_observe_the_track_pixels(monkeypatch):
         else:
             rows = [i for i, frame in enumerate(frames) for row in observed if np.array_equal(row, frame)]
             assert len(rows) == len(observed) and rows == sorted(set(rows))
+
+
+def test_frames_above_2048_points_fit_a_lattice(monkeypatch):
+    # Frame 1 sees exactly 2,048 points and fits them all; frame 2 sees
+    # 2,049 and fits every 2nd. Both stop at the gradient test, but a
+    # thinned frame counts as coarse, so only frame 2 refits on all its points.
+    field = static_64(frames=3)
+    vis = field.visibility.copy()
+    order = rng(32).permutation(field.num_points)
+    vis[1, order[2048:]] = False
+    vis[2, order[2049:]] = False
+    calls = record_chunks(monkeypatch)
+    result = extract_static(replace(field, visibility=vis))
+    assert result.status == STATUS_CONVERGED_EPS and result.iterations_used == 1
+    (_, _, masks, coarse, _), (_, _, refit, precise, _) = calls
+    assert coarse == segmentation._COARSE and precise == 0.0
+    assert np.array_equal(masks[0], vis[1])
+    assert np.array_equal(np.flatnonzero(masks[1]), np.flatnonzero(vis[2])[::2]) and masks[1].sum() == 1025
+    assert np.array_equal(refit, vis[2:])
+
+
+def test_fits_within_100_epsilon_of_converging_use_every_point(monkeypatch):
+    # Iteration 1 thins; iteration 2 follows an eps_max of 1,674, within
+    # 100·ε = 5,200, so it and the closing refit fit every selected point.
+    calls = record_chunks(monkeypatch)
+    field = one_disc_64()
+    result = extract_static(field)
+    assert result.iterations_used == 2 and result.status == STATUS_CONVERGED_EPS
+    assert result.eps_max_trace[0] <= 100 * 4.0 * field.num_frames
+    _, (_, _, second, _, _), (_, _, refit, _, _) = calls
+    sel = result.partition.static_mask.ravel() & field.visibility[1:]  # converged_eps keeps the fitted set
+    assert (sel.sum(axis=1) > 2048).all() and np.array_equal(second, sel)
+    assert all(any(np.array_equal(row, frame) for frame in sel) for row in refit)
+
+
+def test_a_thinned_first_iteration_ends_on_full_point_precise_refits(monkeypatch):
+    # A static 64×64 clip converges in iteration 1. Every frame was
+    # thinned, so every frame refits on all its points at full precision,
+    # which lands within 1e-9 of the unthinned path's motions.
+    field = static_64(frames=6)
+    calls = record_chunks(monkeypatch)
+    result = extract_static(field)
+    (_, _, masks, _, _), (_, _, refit, precise, _) = calls
+    assert np.array_equal(masks, lattice(field.visibility[1:]))
+    assert precise == 0.0 and np.array_equal(refit, field.visibility[1:])
+    monkeypatch.setattr(segmentation, "_THIN_CAP", field.num_points)
+    unthinned = extract_static(field)
+    assert result.status == unthinned.status == STATUS_CONVERGED_EPS
+    assert result.iterations_used == unthinned.iterations_used == 1
+    for got, want in zip(result.motions, unthinned.motions):
+        assert np.abs(got.rotation - want.rotation).max() < 1e-9
+        assert np.abs(got.translation - want.translation).max() < 1e-9
+
+
+def test_a_32x32_field_fits_and_segments_as_without_thinning(monkeypatch):
+    # 1,024 points per frame never exceed the cap: every fit call and
+    # output keeps the bits of the unthinned path.
+    fit = segmentation.fit_rigid_frames
+    field = quad_object_scene(frames=8, noise=0.5, seed=5)[0].field
+    runs = []
+    for cap in (segmentation._THIN_CAP, math.inf):
+        monkeypatch.setattr(segmentation, "_THIN_CAP", cap)
+        calls = []
+
+        def spy(points0, observed, masks, k, init, coarse=0.0):
+            params, fits = fit(points0, observed, masks, k, init, coarse=coarse)
+            calls.extend([masks.copy(), np.array(init), coarse, params.copy()] + [f.cost_trace for f in fits])
+            return params, fits
+
+        monkeypatch.setattr(segmentation, "fit_rigid_frames", spy)
+        runs.append((calls, extract_static(field)))
+    (calls, result), (reference_calls, reference) = runs
+    assert result.iterations_used > 1 and len(calls) == len(reference_calls)
+    assert all(np.array_equal(got, want) for got, want in zip(calls, reference_calls))
+    assert np.array_equal(result.partition.static_mask, reference.partition.static_mask)
+    assert np.array_equal(result.per_point_error, reference.per_point_error)
+    for got, want in zip(result.motions, reference.motions):
+        assert np.array_equal(got.rotation, want.rotation) and np.array_equal(got.translation, want.translation)
+    assert (result.status, result.eps_max_trace, result.diagnostics) == (
+        reference.status, reference.eps_max_trace, reference.diagnostics
+    )
 
 
 def test_max_iters_status():
